@@ -36,4 +36,4 @@ from .experiments import (FitResult, GapReport, MontgomeryReport, SweepConfig,
                           write_records_csv, write_records_json)
 from .cli import main as cli_main
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -145,13 +145,8 @@ def _cmd_sweep(args, doc):
     cfg_doc.setdefault("seed", args.seed)
     cfg = SweepConfig.from_dict(cfg_doc)
     records = run_sweep(cfg)
-    out = _Output(args)
-    if out.path:
-        writer = write_records_json if args.format == "json" else write_records_csv
-        writer(records, out.path)
-    else:
-        writer = write_records_json if args.format == "json" else write_records_csv
-        writer(records, sys.stdout)
+    writer = write_records_json if args.format == "json" else write_records_csv
+    writer(records, args.out or sys.stdout)
     for j in range(cfg.m):
         try:
             fit = fit_expansion(records, j)
@@ -265,19 +260,12 @@ def _build_parser():
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--dump-matrix", help="write the assembled matrix "
                                          "(Matrix Market) to this path")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     return p
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        try:
-            import threadpoolctl
-            threadpoolctl.threadpool_limits(args.threads)
-        except ImportError:
-            os.environ["OMP_NUM_THREADS"] = str(args.threads)
     try:
         doc = _load_config(args.config)
         return _COMMANDS[args.command](args, doc)

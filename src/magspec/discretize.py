@@ -98,6 +98,9 @@ class AssembledOperator:
     grid: Grid
     h: float
     setup: object = None
+    # lower bound of the spectrum: the magnetic form is positive semidefinite,
+    # so every eigenvalue is at least min(0, min V)
+    floor: float = 0.0
 
     @property
     def dim(self):
@@ -109,7 +112,8 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
 
     `setup` must provide mass_weight(x, y) and B(x, y); `gauge` provides the
     exact y-edge integrals of A2 (A1 = 0).  `potential` is an optional scalar
-    function added as V(x, y) * M on the diagonal.
+    function added as V(x, y) * M on the diagonal; min(0, min V) becomes the
+    operator's `floor`, a lower bound of its spectrum.
     """
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
@@ -146,8 +150,11 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
 
     # diagonal: each interior node sees 4 incident edges (Dirichlet outside)
     diag = np.full((nx, ny), 2 * cx + 2 * cy, dtype=complex)
+    floor = 0.0
     if potential is not None:
-        diag += np.asarray(potential(X, Y), dtype=float) * mass
+        V = np.asarray(potential(X, Y), dtype=float)
+        diag += V * mass
+        floor = min(floor, float(V.min()))
     rows.append(idx.ravel())
     cols.append(idx.ravel())
     vals.append(diag.ravel())
@@ -175,7 +182,8 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.size, grid.size),
     ).tocsr()
-    return AssembledOperator(H=H, M=mass.reshape(-1), grid=grid, h=h, setup=setup)
+    return AssembledOperator(H=H, M=mass.reshape(-1), grid=grid, h=h, setup=setup,
+                             floor=floor)
 
 
 def apply_operator(op: AssembledOperator, u: GridFunction) -> GridFunction:

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import pathlib
+import re
 
 import pytest
 
+import magspec
 from magspec.cli import main
 
 
@@ -79,6 +82,13 @@ class TestErrorHandling:
         code, _, err = run(capsys, "oracle", "--config", cfg)
         assert code == 1
         assert "error:" in err
+
+
+    def test_unknown_flag_exits_2(self, capsys):
+        # --threads was removed: it could not limit BLAS once numpy had loaded
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestSolve:
@@ -156,3 +166,9 @@ def test_check_identities(capsys):
     rows = csv_rows(out)
     assert rows[0] == ["check", "status"]
     assert all(r[1] == "ok" for r in rows[1:])
+
+
+def test_version_matches_pyproject():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
+    assert magspec.__version__ == declared.group(1)

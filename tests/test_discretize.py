@@ -125,6 +125,20 @@ class TestAssemble:
         expected = np.diag(((X ** 2 + Y ** 2) * grid.dx * grid.dy).reshape(-1))
         np.testing.assert_allclose(diff, expected, atol=1e-13)
 
+    def test_floor_is_min_of_zero_and_potential(self):
+        s = FieldSetup("1", None, Rectangle(-8.0, 8.0, -8.0, 8.0))
+        g = gauge_from_field(s, x_anchor=0.0)
+        grid = Grid(s.domain, 16, 16)
+        X, Y = grid.meshgrid()
+        assert assemble(s, g, grid, 1.0).floor == 0.0
+        assert assemble(s, g, grid, 1.0,
+                        potential=lambda x, y: x ** 2 + 1.0).floor == 0.0
+        opv = assemble(s, g, grid, 1.0, potential=lambda x, y: x ** 2 + y - 3.0)
+        assert opv.floor == (X ** 2 + Y - 3.0).min()
+        # the floor bounds the spectrum: H - floor * M is positive definite
+        shifted = (opv.H - opv.floor * sp.diags(opv.M)).toarray()
+        assert np.linalg.eigvalsh(shifted).min() > 0.0
+
     def test_flux_aliasing_warning(self):
         s = FieldSetup("1", None, Rectangle(-3.0, 3.0, -3.0, 3.0))
         g = gauge_from_field(s, x_anchor=0.0)

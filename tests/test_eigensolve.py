@@ -1,9 +1,11 @@
-"""Generalized eigenpairs of the pencil (H, M): paths, contracts, invariance."""
+"""Generalized eigenpairs of the pencil (H, M): the shift-invert core against
+a dense reference, its contracts, certification and invariance."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import magspec.eigensolve as es
 from magspec.discretize import Grid, assemble
@@ -23,6 +25,7 @@ def std_operator(n, h=0.1, domain=SQUARE2):
 
 
 def dense_reference(op, m):
+    """The m smallest eigenvalues by a dense solve of the symmetrized pencil."""
     d = 1.0 / np.sqrt(op.M)
     Hs = (sp.diags(d) @ op.H @ sp.diags(d)).toarray()
     return np.sort(scipy.linalg.eigvalsh(Hs))[:m]
@@ -30,17 +33,46 @@ def dense_reference(op, m):
 
 class TestSmallestEigenpairs:
     def test_dense_agrees_with_reference(self):
-        op = std_operator(10)  # 100 unknowns: dense path
+        # 100 unknowns: shift-invert on a coarse grid, checked densely
+        op = std_operator(10)
         res = smallest_eigenpairs(op, 6, tol=1e-10)
         ref = dense_reference(op, 6)
         np.testing.assert_allclose(res.eigenvalues, ref, atol=1e-12)
 
-    def test_krylov_agrees_with_dense(self, monkeypatch):
+    def test_coarsest_grid_largest_request(self):
+        # 8x8 is the coarsest grid and m = dim/4 the largest request
+        op = std_operator(8)
+        res = smallest_eigenpairs(op, 16, tol=1e-10)
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 16),
+                                   atol=1e-12)
+        assert np.all(res.converged)
+
+    def test_krylov_agrees_with_dense(self):
         op = std_operator(40)  # 1600 unknowns
-        ref = smallest_eigenpairs(op, 5, tol=1e-10).eigenvalues  # dense path
-        monkeypatch.setattr(es, "_DENSE_DIM", 0)
         kry = smallest_eigenpairs(op, 5, tol=1e-10).eigenvalues
-        np.testing.assert_allclose(kry, ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(kry, dense_reference(op, 5),
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_negative_potential_bottom(self):
+        # V = -1 shifts the spectrum by exactly -1; a shift at 0 would
+        # return the eigenvalues nearest 0 instead of the smallest
+        s = FieldSetup("1 + x^2 + y^2", None, SQUARE2)
+        g = gauge_from_field(s, x_anchor=0.0)
+        grid = Grid(SQUARE2, 56, 56)
+        op0 = assemble(s, g, grid, 0.1)
+        opv = assemble(s, g, grid, 0.1, potential=lambda x, y: -1.0 + 0.0 * x)
+        assert opv.floor == -1.0
+        lam0 = smallest_eigenpairs(op0, 4, tol=1e-10).eigenvalues
+        res = smallest_eigenpairs(opv, 4, tol=1e-10)
+        assert np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, lam0 - 1.0, atol=1e-10)
+
+    def test_iterations_count_shift_invert_solves(self):
+        op = std_operator(64, h=0.1)
+        first = smallest_eigenpairs(op, 6, tol=1e-10, seed=3)
+        again = smallest_eigenpairs(op, 6, tol=1e-10, seed=3)
+        assert first.iterations > 6 + es._CLUSTER_MARGIN
+        assert again.iterations == first.iterations
 
     def test_contract_on_standard_well(self):
         op = std_operator(64, h=0.05)
@@ -97,6 +129,44 @@ class TestEigenpairsNear:
     def test_residuals_certify_pairs(self):
         op = std_operator(12, h=0.1)
         res = eigenpairs_near(op, 0.15, 3)
+        assert np.all(res.residuals <= 1e-10)
+
+
+class TestPartialConvergence:
+    """ARPACK stopping early with some pairs converged: both entry points
+    keep what converged if that is at least m pairs, and fail otherwise."""
+
+    SOLVERS = [lambda op, m: smallest_eigenpairs(op, m),
+               lambda op, m: eigenpairs_near(op, 0.3, m)]
+
+    @pytest.fixture
+    def stop_early(self, monkeypatch):
+        """Make eigsh raise after converging only its first `kept` pairs."""
+        real = spla.eigsh
+        kept_vals = []
+
+        def install(kept):
+            def eigsh(*args, **kwargs):
+                vals, vecs = real(*args, **kwargs)
+                kept_vals.extend(vals[:kept])
+                raise spla.ArpackNoConvergence("stopped early", vals[:kept],
+                                               vecs[:, :kept])
+            monkeypatch.setattr(spla, "eigsh", eigsh)
+            return kept_vals
+        return install
+
+    @pytest.mark.parametrize("solve", SOLVERS, ids=["smallest", "near"])
+    def test_fewer_than_m_pairs_is_domain_error(self, stop_early, solve):
+        stop_early(3)
+        with pytest.raises(DomainError, match="converged only 3 of 4"):
+            solve(std_operator(12), 4)
+
+    @pytest.mark.parametrize("solve", SOLVERS, ids=["smallest", "near"])
+    def test_m_converged_pairs_are_kept_and_certified(self, stop_early, solve):
+        kept = stop_early(4)
+        res = solve(std_operator(12), 4)
+        np.testing.assert_array_equal(np.sort(res.eigenvalues), np.sort(kept))
+        assert np.all(res.converged)
         assert np.all(res.residuals <= 1e-10)
 
 
