@@ -12,8 +12,7 @@ periodically tiled wells.
 from .errors import ConfigError, DomainError, MagspecError, ParseError
 from .expr import differentiate, evaluate, parse_expression, to_source
 from .wellmodel import (FlatModelParams, WellData, WellInvariants,
-                        asymptotic_eigenvalue, derive_invariants,
-                        flat_model_spectrum, gap_constant_ck, mu_jk2,
+                        derive_invariants, flat_model_spectrum, mu_jk2,
                         p_flat_spectrum)
 from .hermite import (MomentTable, OscillatorBasis, hermite_norm_sq,
                       hermite_poly, moment_table, momentum_matrix,
@@ -21,7 +20,7 @@ from .hermite import (MomentTable, OscillatorBasis, hermite_norm_sq,
                       oscillator_eigenvalue, position_matrix)
 from .fieldgeom import (FieldSetup, GaugePotential, Rectangle,
                         TransformedGauge, gauge_from_field, locate_minimum,
-                        scalar_curvature, well_data)
+                        polynomial_B, scalar_curvature, well_data)
 from .discretize import (AssembledOperator, Grid, GridFunction, apply_operator,
                          assemble, dump_matrix_market, field_mass,
                          magnetic_form)
@@ -33,7 +32,7 @@ from .experiments import (FitResult, GapReport, MontgomeryReport, SweepConfig,
                           SweepRecord, TiledField, curved_well, detect_gaps,
                           fit_expansion, grid_size, montgomery_check,
                           run_gap_experiment, run_sweep, standard_well,
-                          write_records_csv, write_records_json)
+                          write_records, write_table)
 from .cli import main as cli_main
 
 __version__ = "0.1.0"

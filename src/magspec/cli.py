@@ -9,7 +9,6 @@ Data goes to stdout (or --out); diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -20,15 +19,15 @@ import numpy as np
 from .discretize import Grid, assemble, dump_matrix_market
 from .eigensolve import smallest_eigenpairs
 from .errors import ConfigError, DomainError, ParseError
-from .experiments import (SweepConfig, detect_gaps, fit_expansion, grid_size,
-                          run_gap_experiment, run_sweep, standard_well,
-                          write_records_csv, write_records_json)
+from .experiments import (STANDARD_FIELD, SweepConfig, fit_expansion,
+                          grid_size, run_gap_experiment, run_sweep,
+                          standard_well, write_records, write_table)
 from .fieldgeom import FieldSetup, Rectangle, gauge_from_field, well_data
 from .hermite import hermite_norm_sq, hermite_poly, moment_table
 from .quasimode import (QuasimodeSpec, assemble_T2, build_leading_quasimode,
                         clipped_cutoff, residual)
-from .wellmodel import (FlatModelParams, flat_model_spectrum, gap_constant_ck,
-                        mu_jk2, p_flat_spectrum)
+from .wellmodel import (FlatModelParams, flat_model_spectrum, mu_jk2,
+                        p_flat_spectrum)
 
 __all__ = ["main"]
 
@@ -59,38 +58,50 @@ def _setup_from(doc):
         raise ConfigError(f"invalid field configuration: {err}") from err
 
 
-class _Output:
-    """Rows -> CSV or JSON on stdout or a file, chosen by CLI flags."""
+def _section(doc, name, **spec):
+    """Values of config section `name`, in the order of `spec`.
 
-    def __init__(self, args):
-        self.fmt = args.format
-        self.path = args.out
+    `spec` maps each key to (convert, default); a value that `convert`
+    rejects, or a section that is not an object, raises ConfigError.  A
+    default of None is returned unconverted.
+    """
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"config section '{name}' must be a JSON object")
+    values = []
+    for key, (convert, default) in spec.items():
+        value = sec.get(key, default)
+        try:
+            values.append(None if value is None else convert(value))
+        except (TypeError, ValueError, IndexError) as err:
+            raise ConfigError(f"invalid {name}.{key}: {value!r}") from err
+    return values
 
-    def emit(self, header, rows):
-        if self.fmt == "json":
-            doc = [dict(zip(header, row)) for row in rows]
-            text = json.dumps(doc, indent=2, default=float) + "\n"
-        else:
-            import io
-            buf = io.StringIO()
-            w = csv.writer(buf, lineterminator="\n")
-            w.writerow(header)
-            for row in rows:
-                w.writerow(["" if v is None else
-                            (f"{v:.17g}" if isinstance(v, float) else v)
-                            for v in row])
-            text = buf.getvalue()
-        if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+
+def _first(values):
+    """First entry of a list of numbers, as a float."""
+    if not isinstance(values, list):
+        raise TypeError("expected a list")
+    return float(values[0])
+
+
+def _operator(args, doc, h, n):
+    """Well, gauge, grid and operator of a single-well solve; n = 0 takes
+    the grid size from h."""
+    setup = _setup_from(doc)
+    n = n or grid_size(setup.domain.width, h)
+    well = well_data(setup)
+    gauge = gauge_from_field(setup, x_anchor=well.x0[0])
+    grid = Grid(setup.domain, n, n)
+    op = assemble(setup, gauge, grid, h)
+    if args.dump_matrix:
+        dump_matrix_market(op, args.dump_matrix)
+    return well, gauge, grid, op
 
 
 def _cmd_oracle(args, doc):
-    setup = _setup_from(doc)
-    well = well_data(setup)
-    h = float(doc.get("sweep", {}).get("h", [0.1])[0])
+    h, = _section(doc, "sweep", h=(_first, [0.1]))
+    well = well_data(_setup_from(doc))
     rows = [("well", "b0", "", float(well.b0)),
             ("well", "alpha1", "", float(well.alpha1)),
             ("well", "beta1", "", float(well.beta1)),
@@ -99,54 +110,37 @@ def _cmd_oracle(args, doc):
         for k in range(4):
             rows.append(("mu_jk2", j, k, mu_jk2(well, j, k)))
     for k in range(4):
-        rows.append(("c_k", k, "", gap_constant_ck(well, k)))
+        rows.append(("c_k", k, "", mu_jk2(well, 0, k)))
     K = np.diag([2 * well.alpha1, 2 * well.beta1])
     for lam, n1, n2 in flat_model_spectrum(FlatModelParams(well.b0, K), 6):
         rows.append(("flat_model", n1, n2, lam))
     for lam, n1, n2 in p_flat_spectrum(h, well.b0,
                                        np.diag([well.alpha1, well.beta1]), 6):
         rows.append(("p_flat", n1, n2, lam))
-    _Output(args).emit(["table", "i", "k", "value"], rows)
+    write_table(["table", "i", "k", "value"], rows, args.out or sys.stdout,
+                args.format)
     return 0
 
 
-def _solve_once(doc, args):
-    setup = _setup_from(doc)
-    sv = doc.get("solve", {})
-    h = float(sv.get("h", 0.1))
-    n = int(sv.get("n", 0)) or grid_size(setup.domain.width, h)
-    m = int(sv.get("m", 6))
-    tol = float(sv.get("tol", 1e-8))
-    well = well_data(setup)
-    gauge = gauge_from_field(setup, x_anchor=well.x0[0])
-    grid = Grid(setup.domain, n, n)
-    op = assemble(setup, gauge, grid, h)
-    if args.dump_matrix:
-        dump_matrix_market(op, args.dump_matrix)
-    return setup, well, gauge, grid, op, h, m, tol
-
-
 def _cmd_solve(args, doc):
-    setup, well, gauge, grid, op, h, m, tol = _solve_once(doc, args)
+    h, n, m, tol = _section(doc, "solve", h=(float, 0.1), n=(int, 0),
+                            m=(int, 6), tol=(float, 1e-8))
+    well, gauge, grid, op = _operator(args, doc, h, n)
     res = smallest_eigenpairs(op, m, tol=tol, seed=args.seed)
     rows = [(j, float(res.eigenvalues[j]),
              h * well.b0 + h * h * mu_jk2(well, j, 0),
              float(res.residuals[j]), bool(res.converged[j]))
             for j in range(m)]
-    _Output(args).emit(
-        ["j", "lambda", "lambda_predicted", "residual", "converged"], rows)
+    write_table(["j", "lambda", "lambda_predicted", "residual", "converged"],
+                rows, args.out or sys.stdout, args.format)
     return 0
 
 
 def _cmd_sweep(args, doc):
-    cfg_doc = dict(doc)
-    cfg_doc.setdefault("field", {"b": "1 + x^2 + y^2",
-                                 "domain": (-2.0, 2.0, -2.0, 2.0)})
-    cfg_doc.setdefault("seed", args.seed)
-    cfg = SweepConfig.from_dict(cfg_doc)
+    cfg = SweepConfig.from_dict({"field": STANDARD_FIELD, "seed": args.seed,
+                                 **doc})
     records = run_sweep(cfg)
-    writer = write_records_json if args.format == "json" else write_records_csv
-    writer(records, args.out or sys.stdout)
+    write_records(records, args.out or sys.stdout, args.format)
     for j in range(cfg.m):
         try:
             fit = fit_expansion(records, j)
@@ -161,59 +155,45 @@ def _cmd_sweep(args, doc):
 
 
 def _cmd_quasimode(args, doc):
-    setup = _setup_from(doc)
-    qm = doc.get("quasimode", {})
-    h = float(qm.get("h", 0.05))
-    j, k = int(qm.get("j", 0)), int(qm.get("k", 0))
-    n = int(qm.get("n", 0)) or grid_size(setup.domain.width, h)
-    well = well_data(setup)
-    gauge = gauge_from_field(setup, x_anchor=well.x0[0])
-    grid = Grid(setup.domain, n, n)
-    op = assemble(setup, gauge, grid, h)
+    h, j, k, n = _section(doc, "quasimode", h=(float, 0.05), j=(int, 0),
+                          k=(int, 0), n=(int, 0))
+    well, gauge, grid, op = _operator(args, doc, h, n)
     spec = QuasimodeSpec(well, j, k, h,
-                         cutoff_radius=clipped_cutoff(well, h, setup.domain))
+                         cutoff_radius=clipped_cutoff(well, h, grid.domain))
     phi = build_leading_quasimode(spec, grid, gauge, op_mass=op.M)
     r = residual(op, phi, (2 * k + 1) * h * well.b0)
     print(f"residual at mu=(2k+1)*h*b0: {r:.6e}", file=sys.stderr)
     X, Y = grid.meshgrid()
     v = phi.values
     rows = list(zip(X.reshape(-1), Y.reshape(-1), v.real, v.imag))
-    _Output(args).emit(["x", "y", "re", "im"], rows)
+    write_table(["x", "y", "re", "im"], rows, args.out or sys.stdout,
+                args.format)
     return 0
 
 
 def _cmd_gaps(args, doc):
-    setup = _setup_from(doc)
-    gp = doc.get("gaps", {})
-    report = run_gap_experiment(
-        base=setup,
-        p=int(gp.get("tiling", 3)),
-        h=float(gp.get("h", 0.05)),
-        k=int(gp.get("k", 0)),
-        N=int(gp.get("N", 2)),
-        n=int(gp.get("n", 384)),
-        m=gp.get("m"),
-        tol=float(gp.get("tol", 1e-8)),
-        seed=args.seed)
+    p, h, k, N, n, m, tol = _section(
+        doc, "gaps", tiling=(int, 3), h=(float, 0.05), k=(int, 0), N=(int, 2),
+        n=(int, 384), m=(int, None), tol=(float, 1e-8))
+    report = run_gap_experiment(base=_setup_from(doc), p=p, h=h, k=k, N=N,
+                                n=n, m=m, tol=tol, seed=args.seed)
     rows = [("window", report.window[0], report.window[1], "")]
     for lo, hi, center, width in report.clusters:
         rows.append(("cluster", lo, hi, width))
     for lo, hi in report.gaps:
         rows.append(("gap", lo, hi, hi - lo))
-    _Output(args).emit(["kind", "lo", "hi", "extra"], rows)
+    write_table(["kind", "lo", "hi", "extra"], rows, args.out or sys.stdout,
+                args.format)
     print(report.message, file=sys.stderr)
     return 0 if report.passed else 1
 
 
 def _cmd_check_identities(args, doc):
     xs, ws = np.polynomial.hermite.hermgauss(80)
-    failures = []
     checks = []
 
     def check(name, ok):
-        checks.append((name, bool(ok)))
-        if not ok:
-            failures.append(name)
+        checks.append((name, "ok" if ok else "FAIL"))
 
     for k in range(11):
         # orthogonality and norm against Gauss-Hermite quadrature
@@ -232,10 +212,11 @@ def _cmd_check_identities(args, doc):
         for k in range(3):
             d = np.abs(t2.fiber_block(k) - t2.oscillator_matrix(k)).max()
             check(f"T2_fiber k={k} R0={R0}", d <= 1e-8)
-    rows = [(name, "ok" if ok else "FAIL") for name, ok in checks]
-    _Output(args).emit(["check", "status"], rows)
+    write_table(["check", "status"], checks, args.out or sys.stdout,
+                args.format)
+    failures = sum(status == "FAIL" for _, status in checks)
     if failures:
-        print(f"{len(failures)} identity checks failed", file=sys.stderr)
+        print(f"{failures} identity checks failed", file=sys.stderr)
         return 1
     return 0
 

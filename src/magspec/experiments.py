@@ -8,6 +8,7 @@ artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -19,12 +20,14 @@ from . import expr as ex
 from .discretize import Grid, assemble, magnetic_form, field_mass
 from .eigensolve import smallest_eigenpairs
 from .errors import ConfigError, DomainError, MagspecError
-from .fieldgeom import FieldSetup, GaugePotential, Rectangle, gauge_from_field, well_data
+from .fieldgeom import (FieldSetup, GaugePotential, Rectangle, gauge_from_field,
+                        polynomial_B, well_data)
 from .quasimode import (QuasimodeSpec, build_leading_quasimode, clipped_cutoff,
                         residual)
-from .wellmodel import WellData, gap_constant_ck, mu_jk2
+from .wellmodel import WellData, mu_jk2
 
 __all__ = [
+    "STANDARD_FIELD",
     "SweepConfig",
     "SweepRecord",
     "FitResult",
@@ -39,14 +42,19 @@ __all__ = [
     "GapReport",
     "detect_gaps",
     "run_gap_experiment",
-    "write_records_csv",
-    "write_records_json",
+    "write_table",
+    "write_records",
 ]
+
+
+# The standard well as the "field" section of a configuration file.
+STANDARD_FIELD = {"b": "1 + x^2 + y^2", "domain": (-2.0, 2.0, -2.0, 2.0)}
 
 
 def standard_well() -> FieldSetup:
     """Unit-depth quadratic well in a flat metric: b = 1 + x^2 + y^2."""
-    return FieldSetup("1 + x^2 + y^2", None, Rectangle(-2.0, 2.0, -2.0, 2.0))
+    return FieldSetup(STANDARD_FIELD["b"], None,
+                      Rectangle(*STANDARD_FIELD["domain"]))
 
 
 def curved_well() -> FieldSetup:
@@ -105,7 +113,7 @@ class SweepConfig:
                 quasimode=bool(sw.get("quasimode", True)),
                 seed=int(doc.get("seed", 0)),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"invalid sweep configuration: {err}") from err
 
 
@@ -129,6 +137,8 @@ class SweepRecord:
 
 def grid_size(L: float, h: float, c: float = 0.5, n_max: int = 1024) -> int:
     """Grid-h coupling: n = ceil(L / (c*h^{5/4})), clamped to [32, n_max]."""
+    if not h > 0:
+        raise DomainError(f"h must be positive, got {h}")
     n = int(math.ceil(L / (c * h ** 1.25)))
     return max(32, min(n, n_max))
 
@@ -305,6 +315,8 @@ class TiledField:
     w the centered wrap into the cell.  The gauge integrals remain exact:
     a periodic primitive is assembled from the cell primitive and the
     whole-cell flux, so no quadrature crosses the (merely C^0) cell seams.
+    The cell gauge of gauge_from_field cannot serve here: it exposes only
+    edge differences, not the y-primitive at wrapped points.
     """
 
     def __init__(self, base: FieldSetup, p: int = 3):
@@ -313,11 +325,8 @@ class TiledField:
         cell = base.domain
         if abs(cell.x_min + cell.x_max) > 1e-12 or abs(cell.y_min + cell.y_max) > 1e-12:
             raise DomainError("tiling requires a cell centered at the origin")
-        bpoly = ex.as_polynomial(base.b_expr)
-        ppoly = ex.as_polynomial(base.phi_expr)
-        phi_c = (ppoly.get((0, 0), 0.0)
-                 if ppoly is not None and set(ppoly) <= {(0, 0)} else None)
-        if bpoly is None or phi_c is None:
+        Bpoly = polynomial_B(base)
+        if Bpoly is None:
             raise DomainError("tiling requires polynomial b and constant phi")
         self.base = base
         self.p = p
@@ -325,11 +334,8 @@ class TiledField:
         self.ay = cell.y_max
         self.domain = Rectangle(p * cell.x_min, p * cell.x_max,
                                 p * cell.y_min, p * cell.y_max)
-        self._phi_c = phi_c
-        scale = math.exp(2 * phi_c)
-        self._Bpoly = {k: scale * v for k, v in bpoly.items()}
         # cell primitive G(x, y) = int_0^x B(s, y) ds and its y-primitive
-        self._G = ex.poly_antiderivative(self._Bpoly, "x")
+        self._G = ex.poly_antiderivative(Bpoly, "x")
         self._Qg = ex.poly_antiderivative(self._G, "y")
 
     def _wrap_x(self, x):
@@ -338,12 +344,15 @@ class TiledField:
     def _wrap_y(self, y):
         return np.mod(np.asarray(y, dtype=float) + self.ay, 2 * self.ay) - self.ay
 
-    def b(self, x, y):
+    def _in_cell(self, fn, x, y):
         wx, wy = self._wrap_x(x), self._wrap_y(y)
-        return np.broadcast_to(ex.evaluate(self.base.b_expr, wx, wy), np.broadcast(wx, wy).shape)
+        return np.broadcast_to(fn(wx, wy), np.broadcast(wx, wy).shape)
+
+    def b(self, x, y):
+        return self._in_cell(self.base.b, x, y)
 
     def phi(self, x, y):
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self._phi_c)
+        return self._in_cell(self.base.phi, x, y)
 
     def mass_weight(self, x, y):
         return np.exp(2 * self.phi(x, y))
@@ -398,7 +407,8 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = 0,
                 N: int = 2) -> GapReport:
     """Cluster the spectrum inside the level-k window and report the gaps.
 
-    Window: [(2k+1) h b0 + h^2 c_k, (2k+1) h b0 + h^2 C] with
+    Window: [(2k+1) h b0 + h^2 c_k, (2k+1) h b0 + h^2 C] with the gap
+    constant c_k = mu_jk2(well, 0, k), the bottom of the level-k ladder, and
     C = c_k + (2N+2) * 2 sqrt(d)/b0, covering at least N+1 ladder rungs.
     Clusters are maximal runs of eigenvalues separated by more than 5x the
     in-cluster spread (with a floor of 1% of the rung spacing); the report
@@ -407,7 +417,7 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = 0,
     if N < 0:
         raise DomainError("N must be non-negative")
     inv = well.invariants
-    ck = gap_constant_ck(well, k)
+    ck = mu_jk2(well, 0, k)
     spacing = 2.0 * math.sqrt(inv.d) / well.b0
     lo = (2 * k + 1) * h * well.b0 + h * h * ck
     hi = (2 * k + 1) * h * well.b0 + h * h * (ck + (2 * N + 2) * spacing)
@@ -465,8 +475,8 @@ def run_gap_experiment(base: FieldSetup = None, p: int = 3, h: float = 0.05,
 # ---------------------------------------------------------------------------
 # persistence
 
-_CSV_COLUMNS = ["h", "j", "lambda_computed", "lambda_predicted",
-                "solver_residual", "quasimode_residual", "n", "error"]
+_RECORD_COLUMNS = ["h", "j", "lambda_computed", "lambda_predicted",
+                   "solver_residual", "quasimode_residual", "n", "error"]
 
 
 def _fmt(x):
@@ -475,28 +485,27 @@ def _fmt(x):
     return "" if x is None else str(x)
 
 
-def write_records_csv(records, out) -> None:
-    """Write sweep records as CSV (file path or writable text stream)."""
+def write_table(header, rows, out, fmt: str = "csv") -> None:
+    """Write rows under `header` as CSV or as a JSON array of objects.
+
+    `out` is a file path or a writable text stream.  CSV writes floats as
+    .17g and None as an empty field, so re-runs are byte-identical; JSON is
+    indented by 2 and ends with a newline.
+    """
     own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
-    fh = open(out, "w", newline="") if own else out
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, c)) for c in _CSV_COLUMNS])
-    finally:
-        if own:
-            fh.close()
+    with open(out, "w", newline="") if own else contextlib.nullcontext(out) as fh:
+        if fmt == "json":
+            json.dump([dict(zip(header, row)) for row in rows], fh,
+                      indent=2, default=float)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def write_records_json(records, out) -> None:
-    """Write sweep records as a JSON array mirroring the CSV columns."""
-    doc = [{c: getattr(r, c) for c in _CSV_COLUMNS} for r in records]
-    own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
-    fh = open(out, "w") if own else out
-    try:
-        json.dump(doc, fh, indent=2, allow_nan=True)
-        fh.write("\n")
-    finally:
-        if own:
-            fh.close()
+def write_records(records, out, fmt: str = "csv") -> None:
+    """Write sweep records through write_table, one row per record."""
+    write_table(_RECORD_COLUMNS,
+                [[getattr(r, c) for c in _RECORD_COLUMNS] for r in records],
+                out, fmt)

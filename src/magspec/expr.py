@@ -17,7 +17,6 @@ gauge-potential line integrals.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -39,7 +38,6 @@ __all__ = [
     "as_polynomial",
     "poly_eval",
     "poly_antiderivative",
-    "poly_derivative",
     "to_source",
 ]
 
@@ -423,29 +421,6 @@ def poly_antiderivative(p, var: str):
         else:
             out[(i, j + 1)] = c / (j + 1)
     return out
-
-
-def poly_derivative(p, var: str):
-    out = {}
-    for (i, j), c in p.items():
-        if var == "x" and i > 0:
-            out[(i - 1, j)] = out.get((i - 1, j), 0.0) + c * i
-        elif var == "y" and j > 0:
-            out[(i, j - 1)] = out.get((i, j - 1), 0.0) + c * j
-    return out or {(0, 0): 0.0}
-
-
-def poly_shift(p, x0: float, y0: float):
-    """Monomial table of p(x + x0, y + y0)."""
-    out = {}
-    for (i, j), c in p.items():
-        for a in range(i + 1):
-            for bb in range(j + 1):
-                k = (a, bb)
-                coeff = (c * math.comb(i, a) * math.comb(j, bb)
-                         * x0 ** (i - a) * y0 ** (j - bb))
-                out[k] = out.get(k, 0.0) + coeff
-    return {k: v for k, v in out.items() if v != 0.0} or {(0, 0): 0.0}
 
 
 def to_source(e: Expression) -> str:

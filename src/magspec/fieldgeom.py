@@ -29,6 +29,7 @@ __all__ = [
     "well_data",
     "scalar_curvature",
     "gauge_from_field",
+    "polynomial_B",
 ]
 
 
@@ -82,7 +83,6 @@ class FieldSetup:
         bvals = np.broadcast_to(ex.evaluate(b_expr, X, Y), X.shape)
         if not np.all(bvals > 0):
             raise DomainError("field intensity b is not positive everywhere on the domain")
-        self._b_min_grid = float(bvals.min())
 
     # pointwise evaluators ---------------------------------------------------
     def b(self, x, y):
@@ -99,12 +99,16 @@ class FieldSetup:
         """Coefficient of dx^dy: B = b * e^{2 phi}."""
         return np.asarray(self.b(x, y), dtype=float) * self.mass_weight(x, y)
 
-def _phi_constant_value(setup: FieldSetup):
-    """Value of phi if it is a constant expression, else None."""
-    p = ex.as_polynomial(setup.phi_expr)
-    if p is not None and set(p) <= {(0, 0)}:
-        return p.get((0, 0), 0.0)
-    return None
+
+def polynomial_B(setup: FieldSetup):
+    """Monomial table of B = b e^{2 phi} if b is polynomial and phi constant,
+    else None.  Such a B has exact polynomial gauge primitives."""
+    bpoly = ex.as_polynomial(setup.b_expr)
+    ppoly = ex.as_polynomial(setup.phi_expr)
+    if bpoly is None or ppoly is None or not set(ppoly) <= {(0, 0)}:
+        return None
+    scale = math.exp(2 * ppoly.get((0, 0), 0.0))
+    return {k: scale * v for k, v in bpoly.items()}
 
 
 def locate_minimum(setup: FieldSetup):
@@ -271,12 +275,8 @@ def gauge_from_field(setup: FieldSetup, x_anchor=None) -> GaugePotential:
     """Build the A1 = 0 gauge with A2 = int_{x_anchor}^x B(s, y) ds."""
     if x_anchor is None:
         x_anchor = locate_minimum(setup)[0]
-    bpoly = ex.as_polynomial(setup.b_expr)
-    phi_c = _phi_constant_value(setup)
-
-    if bpoly is not None and phi_c is not None:
-        scale = math.exp(2 * phi_c)
-        Bpoly = {k: scale * v for k, v in bpoly.items()}
+    Bpoly = polynomial_B(setup)
+    if Bpoly is not None:
         P = ex.poly_antiderivative(Bpoly, "x")  # primitive in x
         # A2(x, y) = P(x, y) - P(x_anchor, y)
         def a2(x, y, P=P, x0=x_anchor):

@@ -2,9 +2,11 @@
 
 Everything here is exact arithmetic on the well's local data: the invariants
 (a, d, t) of the half-Hessian of the field intensity at its minimum, the
-two-term eigenvalue expansion, the harmonic-oscillator coefficients mu_{jk},
-the exact spectrum of the constant-field-plus-quadratic-potential model, and
-the gap constants c_k.
+harmonic-oscillator coefficients mu_{jk} of the two-term eigenvalue expansion
+(2k+1) h b0 + h^2 mu_{j,k,2}, and the exact spectrum of the
+constant-field-plus-quadratic-potential model.  The gap constant c_k, which
+places the spectral gaps of a periodic tiling, is the bottom of the level-k
+ladder: c_k = mu_jk2(well, 0, k).
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ __all__ = [
     "FlatModelParams",
     "derive_invariants",
     "mu_jk2",
-    "asymptotic_eigenvalue",
     "flat_model_spectrum",
     "p_flat_spectrum",
-    "gap_constant_ck",
 ]
 
 
@@ -53,11 +53,7 @@ class WellData:
 
     @property
     def invariants(self) -> "WellInvariants":
-        return WellInvariants(
-            a=math.sqrt(self.alpha1) + math.sqrt(self.beta1),
-            d=self.alpha1 * self.beta1,
-            t=self.alpha1 + self.beta1,
-        )
+        return derive_invariants(np.diag([self.alpha1, self.beta1]))
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ def _check_spd(hess_half) -> np.ndarray:
 
 def derive_invariants(hess_half) -> WellInvariants:
     """Invariants (a, d, t) of a symmetric positive-definite half-Hessian."""
-    lam1, lam2 = _check_spd(hess_half)
+    lam1, lam2 = _check_spd(hess_half).tolist()
     return WellInvariants(a=math.sqrt(lam1) + math.sqrt(lam2),
                           d=lam1 * lam2, t=lam1 + lam2)
 
@@ -124,17 +120,6 @@ def mu_jk2(well: WellData, j: int, k: int) -> float:
     return ((2 * j + 1) * (2 * k + 1) * math.sqrt(inv.d) / well.b0
             + (2 * k * k + 2 * k + 1) * inv.t / (2 * well.b0)
             + 0.5 * (k * k + k) * well.R0)
-
-
-def asymptotic_eigenvalue(well: WellData, j: int, h: float) -> float:
-    """Two-term expansion h*b0 + h^2 [2 sqrt(d)/b0 * j + a^2/(2 b0)]."""
-    if h <= 0:
-        raise DomainError(f"h must be positive, got {h}")
-    if j < 0:
-        raise DomainError("j must be non-negative")
-    inv = well.invariants
-    return h * well.b0 + h * h * (2 * math.sqrt(inv.d) / well.b0 * j
-                                  + inv.a ** 2 / (2 * well.b0))
 
 
 def _model_frequencies(t_K: float, d_K: float, b: float):
@@ -195,12 +180,3 @@ def p_flat_spectrum(h: float, b0: float, hess_half, count: int):
     s2 = h / math.sqrt(2) * math.sqrt(inner_t + b0 * b0 + root)
     return _enumerate_levels(s1, s2, count, shift=-h * b0)
 
-
-def gap_constant_ck(well: WellData, k: int) -> float:
-    """Gap constant c_k; same arithmetic as mu_jk2 at j = 0."""
-    if k < 0:
-        raise DomainError("k must be non-negative")
-    inv = well.invariants
-    return ((2 * k + 1) * math.sqrt(inv.d) / well.b0
-            + (2 * k * k + 2 * k + 1) * inv.t / (2 * well.b0)
-            + 0.5 * (k * k + k) * well.R0)

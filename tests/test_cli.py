@@ -43,6 +43,14 @@ class TestOracle:
         assert any(r[0] == "flat_model" for r in rows[1:])
         assert any(r[0] == "p_flat" for r in rows[1:])
 
+    def test_gap_constants_are_mu_j0(self, capsys):
+        # c_k is the bottom of the level-k ladder: the same bytes as mu_{0,k,2}
+        _, out, _ = run(capsys, "oracle")
+        rows = csv_rows(out)
+        ck = [r[3] for r in rows if r[0] == "c_k"]
+        mu0 = [r[3] for r in rows if r[0] == "mu_jk2" and r[1] == "0"]
+        assert len(ck) == 4 and ck == mu0
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "oracle", "--format", "json")
         assert code == 0
@@ -83,6 +91,23 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("command, doc, code", [
+        ("solve", {"solve": {"h": "abc"}}, 2),
+        ("solve", {"solve": []}, 2),
+        ("oracle", {"sweep": {"h": 0.1}}, 2),
+        ("gaps", {"gaps": {"tiling": "x"}}, 2),
+        ("sweep", {"sweep": []}, 2),
+        ("solve", {"solve": {"h": -0.1}}, 1),
+        ("solve", {"solve": {"h": 0}}, 1),
+        ("quasimode", {"quasimode": {"h": -0.1}}, 1),
+        ("quasimode", {"quasimode": {"h": 0}}, 1),
+    ])
+    def test_bad_section_values_exit_with_message(self, capsys, tmp_path,
+                                                  command, doc, code):
+        cfg = write_config(tmp_path, doc)
+        got, out, err = run(capsys, command, "--config", cfg)
+        assert got == code
+        assert out == "" and err.startswith("error:")
 
     def test_unknown_flag_exits_2(self, capsys):
         # --threads was removed: it could not limit BLAS once numpy had loaded

@@ -13,10 +13,9 @@ from magspec.errors import ConfigError, DomainError
 from magspec.experiments import (GapReport, SweepConfig, SweepRecord,
                                  TiledField, curved_well, detect_gaps,
                                  fit_expansion, grid_size, montgomery_check,
-                                 run_sweep, standard_well, write_records_csv,
-                                 write_records_json)
+                                 run_sweep, standard_well, write_records)
 from magspec.fieldgeom import FieldSetup, Rectangle, gauge_from_field
-from magspec.wellmodel import WellData
+from magspec.wellmodel import WellData, mu_jk2
 
 
 class TestGridSize:
@@ -251,6 +250,14 @@ class TestDetectGaps:
         rep = detect_gaps(vals, h, self.WELL, k=0, N=2)
         assert not rep.passed
 
+    def test_window_starts_at_gap_constant(self):
+        # the lower edge is (2k+1) h b0 + h^2 c_k with c_k = mu_{0,k,2}
+        well = WellData(2.0, 3.0, 0.5, R0=0.7)
+        h = 0.05
+        for k in range(3):
+            rep = detect_gaps(np.array([]), h, well, k=k, N=0)
+            assert rep.window[0] == (2 * k + 1) * h * well.b0 + h * h * mu_jk2(well, 0, k)
+
     def test_trivial_request_passes(self):
         rep = detect_gaps(np.array([]), 0.05, self.WELL, k=0, N=0)
         assert rep.passed and rep.clusters == ()
@@ -277,12 +284,12 @@ class TestPersistence:
     def test_csv_reruns_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:
-            write_records_csv(self._records(), p)
+            write_records(self._records(), p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_csv_shape_and_error_column(self):
         buf = io.StringIO()
-        write_records_csv(self._records(), buf)
+        write_records(self._records(), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0].split(",")[:3] == ["h", "j", "lambda_computed"]
         assert lines[0].split(",")[-1] == "error"
@@ -292,9 +299,9 @@ class TestPersistence:
     def test_json_round_trip(self, tmp_path):
         import json
         p = tmp_path / "r.json"
-        write_records_json(self._records(), p)
+        write_records(self._records(), p, "json")
         q = tmp_path / "r2.json"
-        write_records_json(self._records(), q)
+        write_records(self._records(), q, "json")
         assert p.read_bytes() == q.read_bytes()
         doc = json.loads(p.read_text().replace("NaN", "null"))
         assert doc[0]["lambda_computed"] == 0.11511230046014553

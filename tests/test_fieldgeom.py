@@ -7,9 +7,10 @@ import pytest
 import scipy.integrate
 
 from magspec.errors import DomainError
+from magspec.experiments import TiledField
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
                                gauge_from_field, locate_minimum,
-                               scalar_curvature, well_data)
+                               polynomial_B, scalar_curvature, well_data)
 
 SQUARE2 = Rectangle(-2.0, 2.0, -2.0, 2.0)
 
@@ -142,6 +143,25 @@ class TestGaugeFromField:
         out = g.y_edge_integrals(np.array([0.8]), np.array([-0.5, 0.5]))
         q, _ = scipy.integrate.quad(lambda t: g.a2(0.8, t), -0.5, 0.5, epsabs=1e-12)
         assert out[0, 0] == pytest.approx(q, abs=1e-9)
+
+    def test_constant_phi_scales_exact_gauges(self):
+        # B = b e^{2 phi}: with phi = 0.3 both exact gauges carry e^{0.6}
+        s = FieldSetup("1 + x^2 + y^2", "0.3", SQUARE2)
+        g = gauge_from_field(s, x_anchor=0.0)
+        assert g.exact
+        d = 1e-3
+        for gauge in (g, TiledField(s, 1).gauge()):
+            for x, y in ((0.4, -0.7), (-1.3, 1.1), (1.6, 0.2)):
+                fd = (-gauge.a2(x + 2 * d, y) + 8 * gauge.a2(x + d, y)
+                      - 8 * gauge.a2(x - d, y) + gauge.a2(x - 2 * d, y)) / (12 * d)
+                b = 1 + x * x + y * y
+                assert float(fd) == pytest.approx(b * math.exp(0.6), rel=1e-10)
+
+    def test_polynomial_B(self):
+        assert polynomial_B(FieldSetup("1 + x^2", "0.3", SQUARE2)) == pytest.approx(
+            {(0, 0): math.exp(0.6), (2, 0): math.exp(0.6)})
+        assert polynomial_B(FieldSetup("2 + sin(x)", None, SQUARE2)) is None
+        assert polynomial_B(FieldSetup("1 + x^2", "-(x^2 + y^2)/8", SQUARE2)) is None
 
     def test_default_anchor_is_the_well(self):
         s = FieldSetup("1 + (x - 0.3)^2 + 2*(y + 0.1)^2", None, SQUARE2)

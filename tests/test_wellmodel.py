@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magspec.errors import DomainError
-from magspec.wellmodel import (FlatModelParams, WellData, asymptotic_eigenvalue,
-                               derive_invariants, flat_model_spectrum,
-                               gap_constant_ck, mu_jk2, p_flat_spectrum)
+from magspec.wellmodel import (FlatModelParams, WellData, derive_invariants,
+                               flat_model_spectrum, mu_jk2, p_flat_spectrum)
 
 
 def unit_well(**kw):
@@ -60,13 +59,6 @@ class TestMuJk2:
             mu_jk2(unit_well(), -1, 0)
         with pytest.raises(DomainError):
             mu_jk2(unit_well(), 0, -1)
-
-    def test_matches_asymptotic_eigenvalue_at_k0(self):
-        w = WellData(b0=1.0, alpha1=4.0, beta1=1.0)
-        h = 0.05
-        for j in range(4):
-            assert asymptotic_eigenvalue(w, j, h) == pytest.approx(
-                h * w.b0 + h * h * mu_jk2(w, j, 0), rel=1e-14)
 
 
 class TestWellData:
@@ -164,14 +156,3 @@ class TestPFlatSpectrum:
             p_flat_spectrum(0.1, 0.0, np.eye(2), 1)
         with pytest.raises(DomainError):
             p_flat_spectrum(0.1, 1.0, np.diag([1.0, 0.0]), 1)
-
-
-class TestGapConstant:
-    def test_equals_bottom_of_each_ladder(self):
-        w = WellData(b0=2.0, alpha1=3.0, beta1=0.5, R0=0.7)
-        for k in range(5):
-            assert gap_constant_ck(w, k) == pytest.approx(mu_jk2(w, 0, k), rel=1e-14)
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(DomainError):
-            gap_constant_ck(unit_well(), -1)
