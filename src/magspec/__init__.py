@@ -21,9 +21,8 @@ from .hermite import (MomentTable, OscillatorBasis, hermite_norm_sq,
 from .fieldgeom import (FieldSetup, GaugePotential, Rectangle,
                         TransformedGauge, gauge_from_field, locate_minimum,
                         polynomial_B, scalar_curvature, well_data)
-from .discretize import (AssembledOperator, Grid, GridFunction, apply_operator,
-                         assemble, dump_matrix_market, field_mass,
-                         magnetic_form)
+from .discretize import (AssembledOperator, Grid, assemble,
+                         dump_matrix_market, field_mass, magnetic_form)
 from .eigensolve import (EigenResult, eigenpairs_near, nearest_eigenvalue,
                          smallest_eigenpairs)
 from .quasimode import (QuasimodeSpec, T2Matrix, assemble_T2,
@@ -33,6 +32,5 @@ from .experiments import (FitResult, GapReport, MontgomeryReport, SweepConfig,
                           fit_expansion, grid_size, montgomery_check,
                           run_gap_experiment, run_sweep, standard_well,
                           write_records, write_table)
-from .cli import main as cli_main
 
 __version__ = "0.1.0"

@@ -1,0 +1,6 @@
+"""`python -m magspec`: the `magspec` command of `magspec.cli`."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -164,8 +164,7 @@ def _cmd_quasimode(args, doc):
     r = residual(op, phi, (2 * k + 1) * h * well.b0)
     print(f"residual at mu=(2k+1)*h*b0: {r:.6e}", file=sys.stderr)
     X, Y = grid.meshgrid()
-    v = phi.values
-    rows = list(zip(X.reshape(-1), Y.reshape(-1), v.real, v.imag))
+    rows = list(zip(X.reshape(-1), Y.reshape(-1), phi.real, phi.imag))
     write_table(["x", "y", "re", "im"], rows, args.out or sys.stdout,
                 args.format)
     return 0

@@ -4,6 +4,10 @@ The operator is assembled as a generalized Hermitian pencil (H, M): H carries
 the flat 5-point stencil with unit-modulus hopping phases and the optional
 scalar potential; the diagonal mass M carries the conformal area weight
 e^{2 phi} dx dy.  Eigenvalue problem downstream: H u = lambda M u.
+
+A grid function is a plain flat complex array of length `Grid.size`, x-major:
+entry i * ny + j holds the value at (xs[i], ys[j]), so `u.reshape(nx, ny)`
+matches `Grid.meshgrid()`.
 """
 
 from __future__ import annotations
@@ -20,10 +24,8 @@ from .fieldgeom import Rectangle
 
 __all__ = [
     "Grid",
-    "GridFunction",
     "AssembledOperator",
     "assemble",
-    "apply_operator",
     "magnetic_form",
     "field_mass",
     "dump_matrix_market",
@@ -65,29 +67,6 @@ class Grid:
     def meshgrid(self):
         return np.meshgrid(self.xs, self.ys, indexing="ij")
 
-    def flatten_xy(self, values2d):
-        """(nx, ny) array -> flat vector, x-major."""
-        return np.asarray(values2d).reshape(self.size)
-
-    def to_2d(self, flat):
-        return np.asarray(flat).reshape(self.nx, self.ny)
-
-
-@dataclass
-class GridFunction:
-    """Complex-valued function sampled on the interior nodes of a grid."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).reshape(-1)
-        if v.size != self.grid.size:
-            raise DomainError(f"vector length {v.size} does not match grid size {self.grid.size}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("grid function has non-finite entries")
-        self.values = v
-
 
 @dataclass
 class AssembledOperator:
@@ -96,8 +75,6 @@ class AssembledOperator:
     H: sp.csr_matrix
     M: np.ndarray  # diagonal entries
     grid: Grid
-    h: float
-    setup: object = None
     # lower bound of the spectrum: the magnetic form is positive semidefinite,
     # so every eigenvalue is at least min(0, min V)
     floor: float = 0.0
@@ -182,19 +159,12 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.size, grid.size),
     ).tocsr()
-    return AssembledOperator(H=H, M=mass.reshape(-1), grid=grid, h=h, setup=setup,
-                             floor=floor)
-
-
-def apply_operator(op: AssembledOperator, u: GridFunction) -> GridFunction:
-    if u.grid is not op.grid and u.grid != op.grid:
-        raise DomainError("grid mismatch")
-    return GridFunction(op.H @ u.values, op.grid)
+    return AssembledOperator(H=H, M=mass.reshape(-1), grid=grid, floor=floor)
 
 
 def magnetic_form(op: AssembledOperator, u) -> float:
     """<u, H u>: the discrete magnetic Dirichlet form (assemble without potential)."""
-    v = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=complex)
+    v = np.asarray(u, dtype=complex)
     if v.size != op.dim:
         raise DomainError("dimension mismatch")
     return float(np.real(np.vdot(v, op.H @ v)))
@@ -202,7 +172,7 @@ def magnetic_form(op: AssembledOperator, u) -> float:
 
 def field_mass(setup, grid: Grid, u) -> float:
     """Discrete integral of b |u|^2 over the Riemannian area element."""
-    v = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=complex)
+    v = np.asarray(u, dtype=complex)
     if v.size != grid.size:
         raise DomainError("dimension mismatch")
     X, Y = grid.meshgrid()

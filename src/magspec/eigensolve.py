@@ -6,6 +6,10 @@ request goes through one shift-invert Lanczos core (ARPACK, Ericsson & Ruhe
 window nearest a shift at or below the spectrum's floor, an interior window is
 the one nearest its target.  `Grid` keeps dim >= 64 and m <= dim/4, so the
 Krylov request k always fits below dim.
+
+`EigenResult.eigenvectors` is one (dim, m) complex array: column i is the
+eigenvector of eigenvalues[i], a grid function in the x-major layout of
+`discretize`, and the columns are M-orthonormal.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretize import AssembledOperator, GridFunction
+from .discretize import AssembledOperator
 from .errors import DomainError
 
 __all__ = ["EigenResult", "smallest_eigenpairs", "eigenpairs_near",
@@ -28,7 +32,7 @@ _CLUSTER_MARGIN = 5
 @dataclass
 class EigenResult:
     eigenvalues: np.ndarray
-    eigenvectors: list  # list of GridFunction, M-orthonormal
+    eigenvectors: np.ndarray  # (dim, m), M-orthonormal columns
     residuals: np.ndarray
     iterations: int  # shift-invert solves (OPinv applications)
     converged: np.ndarray  # bool per pair
@@ -97,8 +101,7 @@ def _shift_invert_pairs(op: AssembledOperator, sigma: float, m: int,
     res = np.linalg.norm(op.H @ vecs - vals[None, :] * Mv, axis=0)
     res /= np.linalg.norm(Mv, axis=0)
     return EigenResult(eigenvalues=vals,
-                       eigenvectors=[GridFunction(vecs[:, i], op.grid)
-                                     for i in range(m)],
+                       eigenvectors=vecs,
                        residuals=res,
                        iterations=solves,
                        converged=res <= tol)

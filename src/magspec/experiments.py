@@ -88,6 +88,10 @@ class SweepConfig:
         if any(a <= b for a, b in zip(hs, hs[1:])):
             raise ConfigError("h_list must be strictly descending")
         object.__setattr__(self, "h_list", hs)
+        if self.n_fixed is not None:
+            object.__setattr__(self, "n_fixed", int(self.n_fixed))
+        if not (isinstance(self.richardson, bool) and isinstance(self.quasimode, bool)):
+            raise ConfigError("richardson and quasimode must be true or false")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
         if self.grid_c <= 0 or self.n_max < 32:
@@ -109,8 +113,8 @@ class SweepConfig:
                 grid_c=float(grid.get("c", 0.5)),
                 n_max=int(grid.get("n_max", 1024)),
                 n_fixed=grid.get("n"),
-                richardson=bool(sw.get("richardson", True)),
-                quasimode=bool(sw.get("quasimode", True)),
+                richardson=sw.get("richardson", True),
+                quasimode=sw.get("quasimode", True),
                 seed=int(doc.get("seed", 0)),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as err:
@@ -145,9 +149,18 @@ def grid_size(L: float, h: float, c: float = 0.5, n_max: int = 1024) -> int:
 
 def _sweep_grid(cfg: SweepConfig, dom: Rectangle, h: float) -> Grid:
     if cfg.n_fixed is not None:
-        return Grid(dom, int(cfg.n_fixed), int(cfg.n_fixed))
+        return Grid(dom, cfg.n_fixed, cfg.n_fixed)
     return Grid(dom, grid_size(dom.width, h, cfg.grid_c, cfg.n_max),
                 grid_size(dom.height, h, cfg.grid_c, cfg.n_max))
+
+
+def _certified(res):
+    """`res`, after checking that every pair passed its residual test."""
+    bad = int(np.sum(~res.converged))
+    if bad:
+        raise DomainError(f"{bad} of {len(res)} eigenpairs failed the residual "
+                          f"test (largest residual {res.residuals.max():.3g})")
+    return res
 
 
 def _failure(h, message):
@@ -161,28 +174,31 @@ def run_sweep(config: SweepConfig) -> list:
     two-term prediction h*b0 + h^2 * mu_{j,0,2}.
 
     Richardson extrapolation over the (n, n/2) grid pair removes the leading
-    second-order discretization error from lambda_computed.  A failure at one
-    h produces a single failure record and does not abort the sweep.
+    second-order discretization error from lambda_computed.  Every pair of
+    both solves must pass its residual test.  A failure at one h produces a
+    single failure record and does not abort the sweep; a field that is not
+    a valid well gives one failure record, a malformed one raises.
     """
     records = []
     try:
         setup = FieldSetup(config.b, config.phi, Rectangle(*config.domain))
         well = well_data(setup)
         gauge = gauge_from_field(setup, x_anchor=well.x0[0])
-    except MagspecError as err:
+    except DomainError as err:
         return [_failure(math.nan, str(err))]
 
     for h in config.h_list:
         try:
             grid = _sweep_grid(config, setup.domain, h)
             op = assemble(setup, gauge, grid, h)
-            res = smallest_eigenpairs(op, config.m, tol=config.tol, seed=config.seed)
+            res = _certified(smallest_eigenpairs(op, config.m, tol=config.tol,
+                                                 seed=config.seed))
             lam = res.eigenvalues
             if config.richardson and config.n_fixed is None:
                 half = Grid(setup.domain, max(32, grid.nx // 2), max(32, grid.ny // 2))
-                lam_half = smallest_eigenpairs(
+                lam_half = _certified(smallest_eigenpairs(
                     assemble(setup, gauge, half, h), config.m,
-                    tol=config.tol, seed=config.seed).eigenvalues
+                    tol=config.tol, seed=config.seed)).eigenvalues
                 lam = (4.0 * lam - lam_half) / 3.0
             qres = math.nan
             if config.quasimode:
@@ -287,8 +303,9 @@ def montgomery_check(setup, grid: Grid, h: float, trials=None,
 
     The continuous quadratic-form bound makes every ratio at least 1; on the
     grid it holds up to discretization slack (tests allow 2%).  Trials default
-    to random Gaussian bumps; pass computed eigenvectors to probe the
-    near-equality regime.
+    to random Gaussian bumps; pass computed eigenvectors (the columns of
+    `EigenResult.eigenvectors`, i.e. its `.T`) to probe the near-equality
+    regime.
     """
     if gauge is None:
         gauge = gauge_from_field(setup)
@@ -459,7 +476,8 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = 0,
 def run_gap_experiment(base: FieldSetup = None, p: int = 3, h: float = 0.05,
                        k: int = 0, N: int = 2, n: int = 384, m: int = None,
                        tol: float = 1e-8, seed: int = 0) -> GapReport:
-    """Assemble the p x p superlattice, solve, and run detect_gaps."""
+    """Assemble the p x p superlattice, solve, and run detect_gaps on the
+    eigenvalues; a pair that fails its residual test raises DomainError."""
     if base is None:
         base = standard_well()
     tiled = TiledField(base, p)
@@ -468,7 +486,7 @@ def run_gap_experiment(base: FieldSetup = None, p: int = 3, h: float = 0.05,
     op = assemble(tiled, tiled.gauge(), grid, h)
     if m is None:
         m = (2 * N + 3) * p * p + 10
-    res = smallest_eigenpairs(op, m, tol=tol, seed=seed)
+    res = _certified(smallest_eigenpairs(op, m, tol=tol, seed=seed))
     return detect_gaps(res.eigenvalues, h, well, k=k, N=N)
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .wellmodel import WellData
 
 __all__ = [
@@ -62,6 +62,15 @@ class Rectangle:
         return np.meshgrid(xs, ys, indexing="ij")
 
 
+def _expression(e, name):
+    """`e` parsed if it is a string; anything but an expression is a ConfigError."""
+    if isinstance(e, str):
+        return ex.parse_expression(e)
+    if not isinstance(e, ex.Expression):
+        raise ConfigError(f"field {name} must be an expression string, got {e!r}")
+    return e
+
+
 class FieldSetup:
     """Validated pair of expressions (b, phi) on a rectangle.
 
@@ -70,17 +79,11 @@ class FieldSetup:
     """
 
     def __init__(self, b_expr, phi_expr=None, domain=Rectangle(-3.0, 3.0, -3.0, 3.0)):
-        if isinstance(b_expr, str):
-            b_expr = ex.parse_expression(b_expr)
-        if phi_expr is None:
-            phi_expr = ex.Num(0.0)
-        elif isinstance(phi_expr, str):
-            phi_expr = ex.parse_expression(phi_expr)
-        self.b_expr = b_expr
-        self.phi_expr = phi_expr
+        self.b_expr = _expression(b_expr, "b")
+        self.phi_expr = ex.Num(0.0) if phi_expr is None else _expression(phi_expr, "phi")
         self.domain = domain
         X, Y = domain.sample_grid(64)
-        bvals = np.broadcast_to(ex.evaluate(b_expr, X, Y), X.shape)
+        bvals = np.broadcast_to(ex.evaluate(self.b_expr, X, Y), X.shape)
         if not np.all(bvals > 0):
             raise DomainError("field intensity b is not positive everywhere on the domain")
 

@@ -4,7 +4,10 @@ The quasimode is built in the well's scaled frame as an oscillator state in
 (x2, xi) and carried back to physical coordinates by undoing the frame chain:
 translation x2 = x1 - xi/b0, inverse Fourier transform xi -> y1 (evaluated as
 an exact discrete oscillatory quadrature on a Nyquist-safe xi grid), the
-sqrt(h) scaling, a C^2 cutoff and M-normalization.
+sqrt(h) scaling, a C^2 cutoff and M-normalization.  The result is a flat
+complex array of length `Grid.size` in the grid's x-major layout, the same
+layout as each column of `EigenResult.eigenvectors`, so a quasimode and an
+eigenvector compare directly by residual or by M-weighted alignment.
 
 The order-2 operator is assembled exactly in a truncated oscillator tensor
 basis using ladder-operator matrices; its diagonal fiber blocks reproduce the
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import AssembledOperator, Grid, GridFunction
+from .discretize import AssembledOperator, Grid
 from .errors import DomainError
 from .hermite import (OscillatorBasis, momentum_matrix, oscillator_eigenfunction,
                       position_matrix)
@@ -74,8 +77,10 @@ def _bump(r, r0):
 
 
 def build_leading_quasimode(spec: QuasimodeSpec, grid: Grid, gauge=None,
-                            op_mass=None, oversample: float = 4.0) -> GridFunction:
+                            op_mass=None) -> np.ndarray:
     """Sample the physical-space leading quasimode phi_{jk0} on the grid.
+
+    Returns the M-normalized values as a flat complex array, x-major.
 
     When the global A1 = 0 gauge is anchored at the well's x-coordinate it
     coincides with the well-frame gauge of the scaled construction, so the
@@ -108,7 +113,8 @@ def build_leading_quasimode(spec: QuasimodeSpec, grid: Grid, gauge=None,
     # xi grid: cover the Gaussian tail and resolve e^{i y1 xi} up to the cutoff
     xi_max = (math.sqrt(2 * spec.j + 1) + 8.0) / math.sqrt(om_xi)
     y1_max = 1.25 * r0 / sq
-    dxi = math.pi / (oversample * max(y1_max, 1.0))
+    # four xi points per half-period of e^{i y1 xi} at the cutoff edge
+    dxi = math.pi / (4.0 * max(y1_max, 1.0))
     n_xi = int(2 * xi_max / dxi) + 1
     if n_xi > 500_000:
         raise DomainError(
@@ -133,14 +139,17 @@ def build_leading_quasimode(spec: QuasimodeSpec, grid: Grid, gauge=None,
     values = phi.reshape(-1)
     mass = op_mass if op_mass is not None else np.full(grid.size, grid.dx * grid.dy)
     nrm = math.sqrt(float(np.sum(np.abs(values) ** 2 * mass)))
-    if nrm == 0:
-        raise DomainError("quasimode vanished on the grid")
-    return GridFunction(values / nrm, grid)
+    if not 0 < nrm < math.inf:
+        raise DomainError(f"quasimode vanished on the grid (norm {nrm})")
+    return values / nrm
 
 
-def residual(op: AssembledOperator, phi: GridFunction, mu: float) -> float:
-    """Discrete weighted residual ||H phi - mu M phi||_{M^{-1}} / ||phi||_M."""
-    v = phi.values
+def residual(op: AssembledOperator, phi, mu: float) -> float:
+    """Discrete weighted residual ||H phi - mu M phi||_{M^{-1}} / ||phi||_M
+    of a flat grid function `phi`."""
+    v = np.asarray(phi)
+    if v.shape != op.M.shape:
+        raise DomainError("dimension mismatch")
     nrm = math.sqrt(float(np.sum(np.abs(v) ** 2 * op.M)))
     if nrm == 0:
         raise DomainError("zero grid function")

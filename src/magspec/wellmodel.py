@@ -122,61 +122,37 @@ def mu_jk2(well: WellData, j: int, k: int) -> float:
             + 0.5 * (k * k + k) * well.R0)
 
 
-def _model_frequencies(t_K: float, d_K: float, b: float):
-    """(s1, s2) for the constant-field + quadratic-potential model."""
-    disc = (t_K + b * b) ** 2 - 4 * d_K
+def flat_model_spectrum(params: FlatModelParams, count: int):
+    """The `count` smallest levels (2n1+1)s1 + (2n2+1)s2 of the exact model
+    spectrum, as an ascending list of (eigenvalue, n1, n2), ties by (n2, n1)."""
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    t_K = float(np.trace(params.K))
+    b = params.b
+    disc = (t_K + b * b) ** 2 - 4 * float(np.linalg.det(params.K))
     if disc < -1e-12 * (t_K + b * b) ** 2:
         raise AssertionError("negative discriminant for valid flat-model parameters")
     root = math.sqrt(max(disc, 0.0))
     s1 = math.sqrt(max(t_K + b * b - root, 0.0) / 2)
     s2 = math.sqrt((t_K + b * b + root) / 2)
-    return s1, s2
-
-
-def _enumerate_levels(s1: float, s2: float, count: int, shift: float = 0.0):
-    """`count` smallest (2n1+1)s1 + (2n2+1)s2 + shift, ties by (n2, n1)."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
     # the value is non-decreasing in each index, so the `count` smallest
     # levels all have n1, n2 < count; this bound also caps the artificial
     # degeneracy at s1 = 0 (pure Landau levels) at `count` per level
-    n1_max = count
-    n2_max = count
-    levels = []
-    for n2 in range(n2_max + 1):
-        for n1 in range(n1_max + 1):
-            lam = (2 * n1 + 1) * s1 + (2 * n2 + 1) * s2 + shift
-            levels.append((lam, n2, n1))
-    levels.sort()
+    levels = sorted(((2 * n1 + 1) * s1 + (2 * n2 + 1) * s2, n2, n1)
+                    for n2 in range(count + 1) for n1 in range(count + 1))
     return [(lam, n1, n2) for lam, n2, n1 in levels[:count]]
-
-
-def flat_model_spectrum(params: FlatModelParams, count: int):
-    """Ascending list of (eigenvalue, n1, n2) for the exact model spectrum."""
-    t_K = float(np.trace(params.K))
-    d_K = float(np.linalg.det(params.K))
-    s1, s2 = _model_frequencies(t_K, d_K, params.b)
-    return _enumerate_levels(s1, s2, count)
 
 
 def p_flat_spectrum(h: float, b0: float, hess_half, count: int):
     """Ascending eigenvalues of the shifted semiclassical flat comparison operator.
 
-    (2n1+1)s1 + (2n2+1)s2 - h*b0 with s1, s2 built from t = Tr, d = det of the
-    half-Hessian; the inner discriminant uses 4*h*d, which is the value forced
-    by matching K = sqrt(h) * hess_half in the exact model (d_K = h*d).
+    h * lambda - h * b0 over the exact model spectrum lambda of
+    FlatModelParams(b0, sqrt(h) * hess_half): the comparison operator is h
+    times that model, shifted by the Landau energy h * b0.
     """
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
-    if b0 <= 0:
-        raise DomainError(f"b0 must be positive, got {b0}")
-    ev = _check_spd(hess_half)
-    t = float(ev.sum())
-    d = float(ev.prod())
-    inner_t = math.sqrt(h) * t
-    disc = (inner_t + b0 * b0) ** 2 - 4 * h * d
-    root = math.sqrt(max(disc, 0.0))
-    s1 = h / math.sqrt(2) * math.sqrt(max(inner_t + b0 * b0 - root, 0.0))
-    s2 = h / math.sqrt(2) * math.sqrt(inner_t + b0 * b0 + root)
-    return _enumerate_levels(s1, s2, count, shift=-h * b0)
-
+    _check_spd(hess_half)
+    params = FlatModelParams(b0, math.sqrt(h) * np.asarray(hess_half, dtype=float))
+    return [(h * lam - h * b0, n1, n2)
+            for lam, n1, n2 in flat_model_spectrum(params, count)]

@@ -142,7 +142,7 @@ def test_acceptance_04_quasimode_residual(capfd, std_ctx, sweep_result,
         QuasimodeSpec(well, 0, 0, 0.05,
                       cutoff_radius=clipped_cutoff(well, 0.05, setup.domain)),
         grid, gauge, op_mass=op.M)
-    align = abs(np.vdot(phi.values, op.M * res.eigenvectors[0].values))
+    align = abs(np.vdot(phi, op.M * res.eigenvectors[:, 0]))
     ok = slope >= 1.9 and align >= 0.95
     _report(capfd, 4, ok,
             f"residual log-log slope {slope:.2f} (need >=1.9), "
@@ -197,8 +197,8 @@ def test_acceptance_06_excited_ladder_proximity(capfd, std_ctx):
             op = assemble(setup, gauge, grid, h)
             res = eigenpairs_near(op, target, 12, tol=1e-8)
             phi = build_leading_quasimode(spec, grid, gauge, op_mass=op.M)
-            align = np.array([abs(np.vdot(phi.values, op.M * v.values))
-                              for v in res.eigenvectors])
+            align = np.array([abs(np.vdot(phi, op.M * v))
+                              for v in res.eigenvectors.T])
             best = int(np.argmax(align))
             runner_up = float(np.delete(align, best).max())
             aligns.append((n, float(align[best]), runner_up))
@@ -279,11 +279,11 @@ def test_acceptance_08_quadratic_form_lower_bound(capfd, std_ctx,
                                                   std_solve_005, landau_solve):
     setup, well, gauge = std_ctx
     grid, op, res = std_solve_005
-    ratios = [magnetic_form(op, v.values)
-              / (0.05 * field_mass(setup, grid, v.values))
-              for v in res.eigenvectors]
+    ratios = [magnetic_form(op, v)
+              / (0.05 * field_mass(setup, grid, v))
+              for v in res.eigenvectors.T]
     lsetup, lgrid, lop, low = landau_solve
-    v0 = low.eigenvectors[0].values
+    v0 = low.eigenvectors[:, 0]
     const_ratio = magnetic_form(lop, v0) / (0.1 * field_mass(lsetup, lgrid, v0))
     ok = min(ratios) >= 0.98 and abs(const_ratio - 1.0) <= 0.02
     _report(capfd, 8, ok,

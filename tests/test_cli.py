@@ -9,6 +9,7 @@ import re
 import pytest
 
 import magspec
+from magspec import experiments
 from magspec.cli import main
 
 
@@ -101,6 +102,13 @@ class TestErrorHandling:
         ("solve", {"solve": {"h": 0}}, 1),
         ("quasimode", {"quasimode": {"h": -0.1}}, 1),
         ("quasimode", {"quasimode": {"h": 0}}, 1),
+        ("sweep", {"sweep": {"grid": {"n": "abc"}}}, 2),
+        ("sweep", {"sweep": {"richardson": "false"}}, 2),
+        ("sweep", {"sweep": {"quasimode": "no"}}, 2),
+        ("sweep", {"sweep": {"richardson": 1}}, 2),
+        ("oracle", {"field": {"b": "1 + x^2 + y^2", "phi": 5}}, 2),
+        ("sweep", {"field": {"b": "1 + x^2 + y^2", "phi": 5}}, 2),
+        ("sweep", {"field": {"b": "1 + (x"}}, 2),
     ])
     def test_bad_section_values_exit_with_message(self, capsys, tmp_path,
                                                   command, doc, code):
@@ -108,6 +116,21 @@ class TestErrorHandling:
         got, out, err = run(capsys, command, "--config", cfg)
         assert got == code
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.filterwarnings("ignore:flux per plaquette")
+    def test_unconverged_gap_solve_exits_1(self, capsys, tmp_path, monkeypatch):
+        solve = experiments.smallest_eigenpairs
+
+        def uncertified(op, m, **kwargs):
+            res = solve(op, m, **kwargs)
+            res.converged[-1] = False
+            return res
+        monkeypatch.setattr(experiments, "smallest_eigenpairs", uncertified)
+        cfg = write_config(tmp_path, {"gaps": {"tiling": 1, "h": 0.2, "N": 1,
+                                               "n": 32, "m": 8}})
+        code, out, err = run(capsys, "gaps", "--config", cfg)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "residual test" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         # --threads was removed: it could not limit BLAS once numpy had loaded

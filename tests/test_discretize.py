@@ -7,8 +7,8 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from magspec.discretize import (Grid, GridFunction, apply_operator, assemble,
-                                dump_matrix_market, field_mass, magnetic_form)
+from magspec.discretize import (Grid, assemble, dump_matrix_market, field_mass,
+                                magnetic_form)
 from magspec.eigensolve import smallest_eigenpairs
 from magspec.errors import DomainError
 from magspec.fieldgeom import (FieldSetup, GaugePotential, Rectangle,
@@ -35,25 +35,6 @@ class TestGrid:
     def test_too_coarse_rejected(self):
         with pytest.raises(DomainError):
             Grid(Rectangle(0.0, 1.0, 0.0, 1.0), 4, 9)
-
-    def test_flatten_round_trip(self):
-        g = Grid(Rectangle(0.0, 1.0, 0.0, 1.0), 8, 9)
-        v = np.arange(72.0).reshape(8, 9)
-        np.testing.assert_array_equal(g.to_2d(g.flatten_xy(v)), v)
-
-
-class TestGridFunction:
-    def test_size_mismatch(self):
-        g = Grid(Rectangle(0.0, 1.0, 0.0, 1.0), 8, 8)
-        with pytest.raises(DomainError):
-            GridFunction(np.zeros(5), g)
-
-    def test_non_finite_rejected(self):
-        g = Grid(Rectangle(0.0, 1.0, 0.0, 1.0), 8, 8)
-        v = np.zeros(64)
-        v[3] = np.nan
-        with pytest.raises(DomainError):
-            GridFunction(v, g)
 
 
 class TestAssemble:
@@ -157,11 +138,6 @@ class TestApply:
         g = gauge_from_field(s, x_anchor=0.0)
         return assemble(s, g, Grid(s.domain, 14, 14), 0.1)
 
-    def test_zero_maps_to_zero(self):
-        op = self._op()
-        out = apply_operator(op, GridFunction(np.zeros(op.dim), op.grid))
-        assert np.abs(out.values).max() == 0.0
-
     def test_quadratic_form_is_real(self):
         op = self._op()
         rng = np.random.default_rng(0)
@@ -174,7 +150,7 @@ class TestApply:
     def test_constant_vector_residuals_at_boundary_only(self):
         s = FieldSetup("1", None, Rectangle(0.0, 1.0, 0.0, 1.0))
         op = assemble(s, zero_gauge(), Grid(s.domain, 12, 12), 1.0)
-        r = op.grid.to_2d(op.H @ np.ones(op.dim))
+        r = (op.H @ np.ones(op.dim)).reshape(op.grid.nx, op.grid.ny)
         assert np.abs(r[1:-1, 1:-1]).max() <= 1e-14  # interior rows telescope
         assert np.abs(r[0, :]).min() > 0  # Dirichlet edge leaves a residual
 

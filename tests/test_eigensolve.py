@@ -85,7 +85,7 @@ class TestSmallestEigenpairs:
     def test_m_orthonormality(self):
         op = std_operator(40, h=0.1)
         res = smallest_eigenpairs(op, 4, tol=1e-10)
-        V = np.column_stack([v.values for v in res.eigenvectors])
+        V = res.eigenvectors
         G = V.conj().T @ (op.M[:, None] * V)
         assert np.abs(G - np.eye(4)).max() <= 1e-10
 
@@ -173,7 +173,7 @@ class TestPartialConvergence:
 class TestNearestEigenvalue:
     def _result(self, vals):
         return es.EigenResult(eigenvalues=np.asarray(vals, dtype=float),
-                              eigenvectors=[],
+                              eigenvectors=np.empty((0, len(vals))),
                               residuals=np.zeros(len(vals)),
                               iterations=0,
                               converged=np.ones(len(vals), dtype=bool))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from magspec import experiments
 from magspec.discretize import Grid
 from magspec.errors import ConfigError, DomainError
 from magspec.experiments import (GapReport, SweepConfig, SweepRecord,
@@ -99,6 +100,38 @@ class TestRunSweep:
         assert [r.h for r in recs] == [0.05, 0.1]
         assert all(r.error is not None for r in recs)
         assert all(math.isnan(r.lambda_computed) for r in recs)
+
+
+def _uncertify(monkeypatch, fail_dim):
+    """Make the solver report its last pair unconverged at dimension
+    `fail_dim`."""
+    solve = experiments.smallest_eigenpairs
+
+    def patched(op, m, **kwargs):
+        res = solve(op, m, **kwargs)
+        if op.dim == fail_dim:
+            res.converged[-1] = False
+        return res
+    monkeypatch.setattr(experiments, "smallest_eigenpairs", patched)
+
+
+class TestCertification:
+    # full grids 60 and 80, half grids 32 and 40: four distinct dimensions
+    CFG = dict(b="1 + x^2 + y^2", h_list=(0.2, 0.16), m=2, quasimode=False)
+
+    def test_unconverged_pair_fails_its_h(self, monkeypatch):
+        n = grid_size(4.0, 0.2)
+        _uncertify(monkeypatch, fail_dim=n * n)
+        recs = run_sweep(SweepConfig(**self.CFG))
+        assert [(r.h, r.j) for r in recs] == [(0.16, 0), (0.16, 1), (0.2, -1)]
+        assert "1 of 2 eigenpairs failed the residual test" in recs[-1].error
+
+    def test_unconverged_half_grid_pair_fails_its_h(self, monkeypatch):
+        n = max(32, grid_size(4.0, 0.16) // 2)
+        _uncertify(monkeypatch, fail_dim=n * n)
+        recs = run_sweep(SweepConfig(**self.CFG))
+        assert [(r.h, r.j) for r in recs] == [(0.16, -1), (0.2, 0), (0.2, 1)]
+        assert "failed the residual test" in recs[0].error
 
 
 class TestFitExpansion:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from magspec.errors import DomainError
+from magspec.errors import ConfigError, DomainError
 from magspec.experiments import TiledField
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
                                gauge_from_field, locate_minimum,
@@ -31,6 +31,12 @@ class TestFieldSetup:
     def test_b_must_be_positive(self):
         with pytest.raises(DomainError, match="not positive"):
             FieldSetup("x", None, SQUARE2)
+
+    def test_non_expression_rejected(self):
+        with pytest.raises(ConfigError, match="phi"):
+            FieldSetup("1 + x^2 + y^2", 5, SQUARE2)
+        with pytest.raises(ConfigError, match="field b"):
+            FieldSetup(["1"], None, SQUARE2)
 
     def test_mass_weight_default_flat(self):
         s = FieldSetup("1 + x^2 + y^2", None, SQUARE2)

@@ -44,12 +44,12 @@ class TestConstruction:
         g = np.exp(-(X ** 2 + Y ** 2) / (4 * h)) * np.exp(-1j * X * Y / (2 * h))
         g = g.reshape(-1)
         g /= math.sqrt(float(np.sum(np.abs(g) ** 2)) * grid.dx * grid.dy)
-        overlap = abs(np.sum(np.conj(g) * phi.values)) * grid.dx * grid.dy
+        overlap = abs(np.sum(np.conj(g) * phi)) * grid.dx * grid.dy
         assert overlap >= 0.99
 
     def test_unit_mass_normalization(self, std):
         grid, phi = build(std, 0, 0, 0.05, 120)
-        total = float(np.sum(np.abs(phi.values) ** 2)) * grid.dx * grid.dy
+        total = float(np.sum(np.abs(phi) ** 2)) * grid.dx * grid.dy
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_near_orthogonality_of_neighboring_levels(self, std):
@@ -58,10 +58,20 @@ class TestConstruction:
         for h in (0.1, 0.05):
             grid, p00 = build(std, 0, 0, h, 140)
             _, p10 = build(std, 1, 0, h, 140)
-            overlap = abs(np.sum(np.conj(p00.values) * p10.values)
+            overlap = abs(np.sum(np.conj(p00) * p10)
                           * grid.dx * grid.dy)
             assert overlap <= 1e-10
             assert overlap <= 0.2
+
+    def test_non_finite_norm_rejected(self, std):
+        setup, well, gauge = std
+        grid = Grid(setup.domain, 32, 32)
+        spec = QuasimodeSpec(well, 0, 0, 0.1,
+                             cutoff_radius=clipped_cutoff(well, 0.1, setup.domain))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="vanished"):
+                build_leading_quasimode(spec, grid, gauge,
+                                        op_mass=np.full(grid.size, bad))
 
     def test_misanchored_gauge_rejected(self, std):
         setup, well, gauge = std
@@ -101,7 +111,7 @@ class TestResidual:
         setup, well, gauge = std
         op = assemble(setup, gauge, Grid(setup.domain, 48, 48), 0.05)
         res = smallest_eigenpairs(op, 2, tol=1e-9)
-        r = residual(op, res.eigenvectors[0], float(res.eigenvalues[0]))
+        r = residual(op, res.eigenvectors[:, 0], float(res.eigenvalues[0]))
         assert r <= 1e-8
 
     def test_quasimode_residual_decreases_with_h(self, std):
@@ -130,9 +140,8 @@ class TestResidual:
         setup, well, gauge = std
         grid = Grid(setup.domain, 16, 16)
         op = assemble(setup, gauge, grid, 0.1)
-        from magspec.discretize import GridFunction
         with pytest.raises(DomainError):
-            residual(op, GridFunction(np.zeros(op.dim), grid), 0.1)
+            residual(op, np.zeros(op.dim), 0.1)
 
 
 class TestT2:
