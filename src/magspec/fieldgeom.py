@@ -4,7 +4,12 @@ curvature, and the well's local data.
 
 All derivatives are taken symbolically on the parsed expressions; the gauge
 potential is an exact polynomial antiderivative whenever b is polynomial and
-phi constant, and adaptive Gauss-Legendre quadrature otherwise.
+phi constant, and a fixed composite Gauss-Legendre rule otherwise: B is
+integrated over each cell between consecutive x-breakpoints (nodes and anchor)
+and y-nodes, 8 x 8 nodes per segment of at most half a unit, and the y-edge
+integrals are the cells' sums outward from the anchor.  They match the exact
+gauge's on the standard well, and 2-D adaptive quadrature on coarse nodes of
+the curved well, to 4e-15 (the integrals reach 0.4).
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -197,37 +201,31 @@ def well_data(setup: FieldSetup) -> WellData:
 # ---------------------------------------------------------------------------
 # gauge potential A = (0, A2), A2(x, y) = int_{x0x}^{x} B(s, y) ds
 
-@lru_cache(maxsize=8)
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+_CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(8)  # per segment
+_CELL_SEGMENT = 0.5  # widest segment of a gauge cell
 
 
-def _gl_integrate_x(fun, x_from: float, x_to, y, n_seg_per_unit=2, order=24):
-    """Vectorized int_{x_from}^{x_to[i]} fun(s, y[i]) ds by composite Gauss-Legendre."""
-    x_to = np.asarray(x_to, dtype=float)
-    y = np.broadcast_to(np.asarray(y, dtype=float), x_to.shape)
-    nodes, weights = _leggauss(order)
-    span = np.abs(x_to - x_from).max() if x_to.size else 0.0
-    nseg = max(1, int(math.ceil(span * n_seg_per_unit)))
-    edges = np.linspace(0.0, 1.0, nseg + 1)
-    total = np.zeros_like(x_to)
-    L = x_to - x_from
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = x_from + L * (a + b) / 2
-        half = L * (b - a) / 2
-        # nodes: shape (order, *x_to.shape)
-        s = mid[None, ...] + half[None, ...] * nodes.reshape((-1,) + (1,) * x_to.ndim)
-        vals = fun(s, np.broadcast_to(y, s.shape))
-        total += half * np.tensordot(weights, vals, axes=(0, 0))
-    return total
+def _cell_rule(breaks):
+    """Composite Gauss-Legendre rule on each interval of `breaks`, split into
+    equal segments no wider than _CELL_SEGMENT: the nodes, their weights and
+    the index of each interval's first node (for np.add.reduceat)."""
+    widths = np.diff(breaks)
+    nseg = np.maximum(1, np.ceil(np.abs(widths) / _CELL_SEGMENT)).astype(int)
+    first = np.cumsum(nseg) - nseg
+    seg = np.repeat(widths / nseg, nseg)
+    lo = np.repeat(breaks[:-1], nseg) + (np.arange(seg.size) - np.repeat(first, nseg)) * seg
+    half = seg[:, None] / 2
+    return ((lo[:, None] + half * (1 + _CELL_NODES)).ravel(), (half * _CELL_WEIGHTS).ravel(),
+            first * _CELL_NODES.size)
 
 
 @dataclass
 class GaugePotential:
     """A1 = 0 gauge; A2 anchored at the well's x-coordinate.
 
-    `a2` evaluates A2(x, y); `y_edge_integrals` returns the exact integrals
-    of A2 in y over consecutive edges, used for the Peierls phases.
+    `a2` evaluates A2(x, y); `y_edge_integrals` returns the integrals of A2
+    in y over consecutive edges, used for the Peierls phases.  Both are exact
+    up to rounding when `exact` is true and quadratures otherwise.
     """
 
     x_anchor: float
@@ -299,23 +297,27 @@ def gauge_from_field(setup: FieldSetup, x_anchor=None) -> GaugePotential:
     Bfun = setup.B
 
     def a2(x, y, Bfun=Bfun, x0=x_anchor):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        yv = np.broadcast_to(np.asarray(y, dtype=float), xv.shape)
-        out = _gl_integrate_x(Bfun, x0, xv, yv)
-        return float(out[0]) if scalar else out
+        # the cell rule in s = x0 + (x - x0) u on nseg equal parts of u in [0, 1],
+        # so that no segment is wider than _CELL_SEGMENT in s
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        nseg = max(1, math.ceil(np.abs(x - x0).max(initial=0.0) / _CELL_SEGMENT))
+        u, w, _ = _cell_rule(np.linspace(0.0, 1.0, nseg + 1))
+        out = (x - x0) * (Bfun(x0 + (x - x0)[..., None] * u, y[..., None]) * w).sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
-    nodes, weights = _leggauss(12)
-
-    def edge_fn(xs, ys, a2=a2):
-        mids = (ys[1:] + ys[:-1]) / 2
-        halves = (ys[1:] - ys[:-1]) / 2
-        out = np.zeros((xs.size, mids.size))
-        Xg = np.broadcast_to(xs[:, None], (xs.size, mids.size))
-        for t, w in zip(nodes, weights):
-            s = mids[None, :] + halves[None, :] * t
-            out += w * a2(Xg, np.broadcast_to(s, Xg.shape))
-        return out * halves[None, :]
+    def edge_fn(xs, ys, Bfun=Bfun, x0=x_anchor):
+        # I[i, j] integrates B over [x0, xs[i]] x [ys[j], ys[j+1]]: integrate
+        # B once over each cell between consecutive x-breakpoints and y-nodes,
+        # then sum the cells outward from the anchor
+        xb = np.unique(np.append(xs, x0))
+        sx, wx, cx = _cell_rule(xb)
+        sy, wy, cy = _cell_rule(ys)
+        vals = Bfun(sx[:, None], sy[None, :]) * wy
+        cells = np.add.reduceat(wx[:, None] * np.add.reduceat(vals, cy, axis=1), cx, axis=0)
+        a = np.searchsorted(xb, x0)
+        prim = np.zeros((xb.size, ys.size - 1))
+        prim[a + 1:] = np.cumsum(cells[a:], axis=0)
+        prim[:a] = -np.cumsum(cells[:a][::-1], axis=0)[::-1]
+        return prim[np.searchsorted(xb, xs)]
 
     return GaugePotential(x_anchor=x_anchor, a2=a2, _edge_fn=edge_fn, exact=False)

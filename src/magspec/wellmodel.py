@@ -122,19 +122,27 @@ def mu_jk2(well: WellData, j: int, k: int) -> float:
             + 0.5 * (k * k + k) * well.R0)
 
 
+def _frequencies(params: FlatModelParams):
+    """Mode frequencies (s1, s2 - b) of the flat model, free of cancellation:
+    with T = t_K + b^2 and root^2 = T^2 - 4 det K = b^4 + 2 t_K b^2 + q >= 0,
+    s1^2 = (T - root)/2 = 2 det K/(T + root), s2 - b = (s2^2 - b^2)/(s2 + b)
+    and s2^2 - b^2 = (t_K + root - b^2)/2, root - b^2 = (2 t_K b^2 + q)/(root + b^2)."""
+    K, b, b2 = params.K, params.b, params.b ** 2
+    t_K = float(np.trace(K))
+    q = float((K[0, 0] - K[1, 1]) ** 2 + 4 * K[0, 1] ** 2)
+    root = math.sqrt(b2 * b2 + 2 * t_K * b2 + q)
+    s1 = math.sqrt(max(2 * float(np.linalg.det(K)), 0.0) / (t_K + b2 + root))
+    s2_sq_excess = (t_K + (2 * t_K * b2 + q) / (root + b2)) / 2
+    return s1, s2_sq_excess / (math.sqrt(b2 + s2_sq_excess) + b)
+
+
 def flat_model_spectrum(params: FlatModelParams, count: int):
     """The `count` smallest levels (2n1+1)s1 + (2n2+1)s2 of the exact model
     spectrum, as an ascending list of (eigenvalue, n1, n2), ties by (n2, n1)."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    t_K = float(np.trace(params.K))
-    b = params.b
-    disc = (t_K + b * b) ** 2 - 4 * float(np.linalg.det(params.K))
-    if disc < -1e-12 * (t_K + b * b) ** 2:
-        raise AssertionError("negative discriminant for valid flat-model parameters")
-    root = math.sqrt(max(disc, 0.0))
-    s1 = math.sqrt(max(t_K + b * b - root, 0.0) / 2)
-    s2 = math.sqrt((t_K + b * b + root) / 2)
+    s1, s2_excess = _frequencies(params)
+    s2 = params.b + s2_excess
     # the value is non-decreasing in each index, so the `count` smallest
     # levels all have n1, n2 < count; this bound also caps the artificial
     # degeneracy at s1 = 0 (pure Landau levels) at `count` per level
@@ -148,11 +156,13 @@ def p_flat_spectrum(h: float, b0: float, hess_half, count: int):
 
     h * lambda - h * b0 over the exact model spectrum lambda of
     FlatModelParams(b0, sqrt(h) * hess_half): the comparison operator is h
-    times that model, shifted by the Landau energy h * b0.
+    times that model, shifted by the Landau energy h * b0, which is taken out
+    of each level exactly: (2n2+1) s2 - b0 = (2n2+1)(s2 - b0) + 2 n2 b0.
     """
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
     _check_spd(hess_half)
     params = FlatModelParams(b0, math.sqrt(h) * np.asarray(hess_half, dtype=float))
-    return [(h * lam - h * b0, n1, n2)
-            for lam, n1, n2 in flat_model_spectrum(params, count)]
+    s1, s2_excess = _frequencies(params)
+    return [(h * ((2 * n1 + 1) * s1 + (2 * n2 + 1) * s2_excess + 2 * n2 * b0), n1, n2)
+            for _, n1, n2 in flat_model_spectrum(params, count)]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from magspec.discretize import Grid
 from magspec.errors import ConfigError, DomainError
-from magspec.experiments import TiledField
+from magspec.experiments import TiledField, curved_well, standard_well
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
                                gauge_from_field, locate_minimum,
                                polynomial_B, scalar_curvature, well_data)
@@ -149,6 +150,56 @@ class TestGaugeFromField:
         out = g.y_edge_integrals(np.array([0.8]), np.array([-0.5, 0.5]))
         q, _ = scipy.integrate.quad(lambda t: g.a2(0.8, t), -0.5, 0.5, epsabs=1e-12)
         assert out[0, 0] == pytest.approx(q, abs=1e-9)
+
+    def test_quadrature_edges_match_exact_gauge(self):
+        # "+ 0*sin(x)" hides the polynomial, forcing the quadrature gauge
+        exact = gauge_from_field(standard_well(), x_anchor=0.0)
+        quad = gauge_from_field(FieldSetup("1 + x^2 + y^2 + 0*sin(x)", None, SQUARE2),
+                                x_anchor=0.0)
+        assert exact.exact and not quad.exact
+        grid = Grid(SQUARE2, 120, 120)
+        assert not np.any(grid.xs == 0.0)  # the anchor lies between nodes
+        diff = (quad.y_edge_integrals(grid.xs, grid.ys)
+                - exact.y_edge_integrals(grid.xs, grid.ys))
+        assert np.abs(diff).max() <= 1e-13
+
+    @pytest.mark.parametrize("x_anchor", [0.0, 2.6])
+    def test_quadrature_edges_on_coarse_nonuniform_nodes(self, x_anchor):
+        # both sides of the anchor, a duplicate, a node at x = 0 and edges
+        # wider than one quadrature segment; the anchor 2.6 lies past every node
+        s = curved_well()
+        g = gauge_from_field(s, x_anchor=x_anchor)
+        xs = np.array([-1.9, -0.7, 0.0, 0.45, 0.45, 1.3, 2.0])
+        ys = np.array([-1.8, -1.5, -0.2, 0.1, 1.9])
+        out = g.y_edge_integrals(xs, ys)
+        assert out.shape == (xs.size, ys.size - 1)
+        for i, x in enumerate(xs):
+            for j in range(ys.size - 1):
+                q, _ = scipy.integrate.dblquad(lambda t, u: s.B(u, t), x_anchor, x,
+                                               ys[j], ys[j + 1], epsabs=1e-13, epsrel=1e-13)
+                assert abs(out[i, j] - q) <= 1e-12
+
+    def test_quadrature_edges_evaluate_few_points(self):
+        # per-edge nested quadrature costs ~1,000 evaluations of B per edge
+        s = curved_well()
+        points = []
+        B = s.B
+        s.B = lambda x, y: points.append(np.broadcast(x, y).size) or B(x, y)
+        g = gauge_from_field(s, x_anchor=0.0)
+        grid = Grid(s.domain, 200, 200)
+        g.y_edge_integrals(grid.xs, grid.ys)
+        assert sum(points) < 100 * grid.nx * (grid.ny - 1)
+
+    @pytest.mark.parametrize("x, y", [
+        (0.8, -0.3), (np.array([0.8, -1.1]), -0.3), (0.8, np.array([0.1, 0.3])),
+        (np.array([[0.8], [-1.1]]), np.array([0.1, 0.3, -1.7]))])
+    def test_a2_broadcasts_like_the_exact_gauge(self, x, y):
+        exact = gauge_from_field(standard_well(), x_anchor=0.2)
+        quad = gauge_from_field(FieldSetup("1 + x^2 + y^2 + 0*sin(x)", None, SQUARE2),
+                                x_anchor=0.2)
+        ref, out = exact.a2(x, y), quad.a2(x, y)
+        assert np.shape(out) == np.shape(ref) == np.broadcast(x, y).shape
+        np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-14)
 
     def test_constant_phi_scales_exact_gauges(self):
         # B = b e^{2 phi}: with phi = 0.3 both exact gauges carry e^{0.6}

@@ -1,6 +1,7 @@
 """Closed-form well quantities: invariants, expansion coefficients, model spectra."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -142,6 +143,24 @@ class TestPFlatSpectrum:
         assert s2 == pytest.approx(0.0109164, abs=5e-7)
         # ground level is the zero-point sum of the two mode frequencies
         assert lam0 == pytest.approx(s1 + s2 - 0.01 * 1.0, abs=1e-12)
+
+    def test_matches_50_digit_closed_form(self):
+        # h*lambda - h*b0 is O(h^{3/2}) below h*b0; a subtraction there
+        # loses up to 1e-9 of it on these cases
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(200):
+                h = 10 ** rng.uniform(-4, math.log10(0.3))
+                b0, a1, a2 = 10 ** rng.uniform(-1, 1, 3)
+                t = Decimal(h).sqrt() * (Decimal(a1) + Decimal(a2)) + Decimal(b0) ** 2
+                root = (t * t - 4 * Decimal(h) * Decimal(a1) * Decimal(a2)).sqrt()
+                s1, s2 = ((t - root) / 2).sqrt(), ((t + root) / 2).sqrt()
+                for lam, n1, n2 in p_flat_spectrum(h, b0, np.diag([a1, a2]), 6):
+                    ref = Decimal(h) * ((2 * n1 + 1) * s1 + (2 * n2 + 1) * s2 - Decimal(b0))
+                    worst = max(worst, float(abs(Decimal(lam) / ref - 1)))
+        assert worst <= 1e-13
 
     def test_ground_state_scaling_limit(self):
         # lambda_0 / h^{3/2} -> a = sqrt(alpha1) + sqrt(beta1) = 2
