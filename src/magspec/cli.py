@@ -3,7 +3,7 @@
 Subcommands: oracle, solve, sweep, quasimode, gaps, check-identities.
 Data goes to stdout (or --out); diagnostics go to stderr.  Exit codes:
 0 success, 1 domain error (bad mathematical input or a failed check),
-2 configuration/parse error.
+2 configuration/parse error or a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _setup_from(doc):
         return standard_well()
     try:
         return FieldSetup(fld["b"], fld.get("phi"),
-                          Rectangle(*fld.get("domain", (-2.0, 2.0, -2.0, 2.0))))
+                          Rectangle(*fld.get("domain", STANDARD_FIELD["domain"])))
     except (KeyError, TypeError) as err:
         raise ConfigError(f"invalid field configuration: {err}") from err
 
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     try:
         doc = _load_config(args.config)
         return _COMMANDS[args.command](args, doc)
-    except (ConfigError, ParseError) as err:
+    except (ConfigError, ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DomainError as err:

@@ -88,9 +88,10 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
     """Assemble the Peierls-phase discretization of the magnetic operator.
 
     `setup` must provide mass_weight(x, y) and B(x, y); `gauge` provides the
-    exact y-edge integrals of A2 (A1 = 0).  `potential` is an optional scalar
-    function added as V(x, y) * M on the diagonal; min(0, min V) becomes the
-    operator's `floor`, a lower bound of its spectrum.
+    y-edge integrals of A2 (A1 = 0), exact or by quadrature.  `potential` is
+    an optional scalar function added as V(x, y) * M on the diagonal;
+    min(0, min V) becomes the operator's `floor`, a lower bound of its
+    spectrum.
     """
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
@@ -183,4 +184,5 @@ def field_mass(setup, grid: Grid, u) -> float:
 
 def dump_matrix_market(op: AssembledOperator, path) -> None:
     """Write H in Matrix Market coordinate format (complex Hermitian, 1-based)."""
-    scipy.io.mmwrite(path, op.H.tocoo(), symmetry="hermitian")
+    with open(path, "wb") as fh:  # mmwrite alone ignores a missing directory
+        scipy.io.mmwrite(fh, op.H.tocoo(), symmetry="hermitian")

@@ -59,8 +59,8 @@ def standard_well() -> FieldSetup:
 
 def curved_well() -> FieldSetup:
     """Same intensity well on a conformal metric with unit curvature at 0."""
-    return FieldSetup("1 + x^2 + y^2", "-(x^2 + y^2)/8",
-                      Rectangle(-2.0, 2.0, -2.0, 2.0))
+    return FieldSetup(STANDARD_FIELD["b"], "-(x^2 + y^2)/8",
+                      Rectangle(*STANDARD_FIELD["domain"]))
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ class SweepConfig:
     b: str
     h_list: tuple
     phi: str = None
-    domain: tuple = (-2.0, 2.0, -2.0, 2.0)
+    domain: tuple = STANDARD_FIELD["domain"]
     m: int = 6
     tol: float = 1e-8
     grid_c: float = 0.5
@@ -88,6 +88,10 @@ class SweepConfig:
         if any(a <= b for a, b in zip(hs, hs[1:])):
             raise ConfigError("h_list must be strictly descending")
         object.__setattr__(self, "h_list", hs)
+        dom = tuple(float(v) for v in self.domain)
+        if len(dom) != 4:
+            raise ConfigError("domain must be four numbers")
+        object.__setattr__(self, "domain", dom)
         if self.n_fixed is not None:
             object.__setattr__(self, "n_fixed", int(self.n_fixed))
         if not (isinstance(self.richardson, bool) and isinstance(self.quasimode, bool)):
@@ -106,7 +110,7 @@ class SweepConfig:
             return cls(
                 b=fld["b"],
                 phi=fld.get("phi"),
-                domain=tuple(fld.get("domain", (-2.0, 2.0, -2.0, 2.0))),
+                domain=fld.get("domain", STANDARD_FIELD["domain"]),
                 h_list=tuple(sw.get("h", (0.1, 0.08, 0.06, 0.05))),
                 m=int(sw.get("m", 6)),
                 tol=float(sw.get("tol", 1e-8)),
@@ -329,11 +333,9 @@ class TiledField:
 
     The base cell must be centered at the origin with a polynomial b and a
     constant phi; the tiled 2-form coefficient is B(x, y) = B(w(x), w(y)) with
-    w the centered wrap into the cell.  The gauge integrals remain exact:
-    a periodic primitive is assembled from the cell primitive and the
-    whole-cell flux, so no quadrature crosses the (merely C^0) cell seams.
-    The cell gauge of gauge_from_field cannot serve here: it exposes only
-    edge differences, not the y-primitive at wrapped points.
+    w the centered wrap into the cell.  The gauge stays exact: its double
+    primitive is the cell's polynomial one plus whole-cell fluxes, so no
+    quadrature crosses the (merely C^0) cell seams.
     """
 
     def __init__(self, base: FieldSetup, p: int = 3):
@@ -351,9 +353,8 @@ class TiledField:
         self.ay = cell.y_max
         self.domain = Rectangle(p * cell.x_min, p * cell.x_max,
                                 p * cell.y_min, p * cell.y_max)
-        # cell primitive G(x, y) = int_0^x B(s, y) ds and its y-primitive
-        self._G = ex.poly_antiderivative(Bpoly, "x")
-        self._Qg = ex.poly_antiderivative(self._G, "y")
+        # cell double primitive Qg(x, y) = int_0^x int_0^y B
+        self._Qg = ex.poly_antiderivative(ex.poly_antiderivative(Bpoly, "x"), "y")
 
     def _wrap_x(self, x):
         return np.mod(np.asarray(x, dtype=float) + self.ax, 2 * self.ax) - self.ax
@@ -379,33 +380,18 @@ class TiledField:
 
     def gauge(self) -> GaugePotential:
         """Exact A1 = 0 gauge for the tiled field, anchored at x = 0."""
-        G, Qg = self._G, self._Qg
-        ax, ay = self.ax, self.ay
+        Qg, ax, ay = self._Qg, self.ax, self.ay
 
-        def a2(x, y):
-            x = np.asarray(x, dtype=float)
-            wx = self._wrap_x(x)
-            nx = np.floor((x + ax) / (2 * ax))
-            wy = self._wrap_y(y)
-            flux = ex.poly_eval(G, ax, wy) - ex.poly_eval(G, -ax, wy)
-            return flux * nx + ex.poly_eval(G, wx, wy)
+        def Phi(x, y):
+            # whole cells in x, then whole cells in y, then the wrapped remainder
+            nx, wx = np.floor((x + ax) / (2 * ax)), self._wrap_x(x)
 
-        def edge_fn(xs, ys):
-            xs = np.asarray(xs, dtype=float)[:, None]
-            wx = self._wrap_x(xs)
-            nx = np.floor((xs + ax) / (2 * ax))
-            # y-primitive of A2(x, .) on the cell: Q(v) = nx*Qi(v) + Qg(wx, v)
-            def Q(v):
+            def Q(v):  # Phi(x, v) for v inside the central row of cells
                 qi = ex.poly_eval(Qg, ax, v) - ex.poly_eval(Qg, -ax, v)
                 return nx * qi + ex.poly_eval(Qg, wx, v)
-            J = Q(np.array(ay)) - Q(np.array(-ay))  # whole-cell integral of A2 in y
+            return (Q(ay) - Q(-ay)) * np.floor((y + ay) / (2 * ay)) + Q(self._wrap_y(y))
 
-            def prim(y):
-                y = np.asarray(y, dtype=float)[None, :]
-                return J * np.floor((y + ay) / (2 * ay)) + Q(self._wrap_y(y))
-            return prim(ys[1:]) - prim(ys[:-1])
-
-        return GaugePotential(x_anchor=0.0, a2=a2, _edge_fn=edge_fn, exact=True)
+        return GaugePotential.from_primitive(Phi, 0.0)
 
 
 # ---------------------------------------------------------------------------

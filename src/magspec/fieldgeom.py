@@ -2,14 +2,15 @@
 the 2-form coefficient B = b*e^{2 phi}, the A1 = 0 gauge potential, scalar
 curvature, and the well's local data.
 
-All derivatives are taken symbolically on the parsed expressions; the gauge
-potential is an exact polynomial antiderivative whenever b is polynomial and
-phi constant, and a fixed composite Gauss-Legendre rule otherwise: B is
-integrated over each cell between consecutive x-breakpoints (nodes and anchor)
-and y-nodes, 8 x 8 nodes per segment of at most half a unit, and the y-edge
-integrals are the cells' sums outward from the anchor.  They match the exact
-gauge's on the standard well, and 2-D adaptive quadrature on coarse nodes of
-the curved well, to 4e-15 (the integrals reach 0.4).
+All derivatives are taken symbolically on the parsed expressions.  The gauge
+is held as its y-edge integrals: corner sums of an exact polynomial double
+primitive of B whenever b is polynomial and phi constant, and a fixed
+composite Gauss-Legendre rule otherwise: B is integrated over each cell
+between consecutive x-breakpoints (nodes and anchor) and y-nodes, 8 x 8 nodes
+per segment of at most half a unit, and the y-edge integrals are the cells'
+sums outward from the anchor.  They match the exact gauge's on the standard
+well, and 2-D adaptive quadrature on coarse nodes of the curved well, to
+4e-15 (the integrals reach 0.4).
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def well_data(setup: FieldSetup) -> WellData:
 
 
 # ---------------------------------------------------------------------------
-# gauge potential A = (0, A2), A2(x, y) = int_{x0x}^{x} B(s, y) ds
+# gauge potential A = (0, A2), A2(x, y) = int_{x_anchor}^{x} B(s, y) ds
 
 _CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(8)  # per segment
 _CELL_SEGMENT = 0.5  # widest segment of a gauge cell
@@ -221,17 +222,29 @@ def _cell_rule(breaks):
 
 @dataclass
 class GaugePotential:
-    """A1 = 0 gauge; A2 anchored at the well's x-coordinate.
+    """A1 = 0 gauge with A2(x, y) = int_{x_anchor}^x B(s, y) ds, held as its
+    y-edge integrals, the only part of A that the Peierls phases use.
 
-    `a2` evaluates A2(x, y); `y_edge_integrals` returns the integrals of A2
-    in y over consecutive edges, used for the Peierls phases.  Both are exact
-    up to rounding when `exact` is true and quadratures otherwise.
+    I[i, j] = int_{ys[j]}^{ys[j+1]} A2(xs[i], s) ds is the flux of B through
+    [x_anchor, xs[i]] x [ys[j], ys[j+1]].  `from_primitive` builds the exact
+    gauge (`exact` true) from a double primitive of B; otherwise the integrals
+    come from the fixed quadrature of `gauge_from_field`.
     """
 
     x_anchor: float
-    a2: callable
     _edge_fn: callable = field(repr=False)
     exact: bool = False
+
+    @classmethod
+    def from_primitive(cls, Phi, x_anchor):
+        """Exact gauge from Phi(x, y) with d_x d_y Phi = B: each edge integral
+        is the corner sum of Phi over [x_anchor, x] x [y0, y1]."""
+        def edge_fn(xs, ys):
+            def dy(x):
+                return Phi(x, ys[1:]) - Phi(x, ys[:-1])
+            return dy(xs[:, None]) - dy(x_anchor)
+
+        return cls(x_anchor=x_anchor, _edge_fn=edge_fn, exact=True)
 
     def y_edge_integrals(self, xs, ys):
         """I[i, j] = int_{ys[j]}^{ys[j+1]} A2(xs[i], s) ds."""
@@ -278,34 +291,10 @@ def gauge_from_field(setup: FieldSetup, x_anchor=None) -> GaugePotential:
         x_anchor = locate_minimum(setup)[0]
     Bpoly = polynomial_B(setup)
     if Bpoly is not None:
-        P = ex.poly_antiderivative(Bpoly, "x")  # primitive in x
-        # A2(x, y) = P(x, y) - P(x_anchor, y)
-        def a2(x, y, P=P, x0=x_anchor):
-            return ex.poly_eval(P, x, y) - ex.poly_eval(P, x0, y)
+        Q = ex.poly_antiderivative(ex.poly_antiderivative(Bpoly, "x"), "y")
+        return GaugePotential.from_primitive(lambda x, y: ex.poly_eval(Q, x, y), x_anchor)
 
-        Q = ex.poly_antiderivative(P, "y")  # primitive of P in y
-
-        def edge_fn(xs, ys, P=P, Q=Q, x0=x_anchor):
-            # int of A2 over y in [ys[j], ys[j+1]] at each xs[i]
-            Xg = xs[:, None]
-            q_hi = ex.poly_eval(Q, Xg, ys[None, 1:]) - ex.poly_eval(Q, Xg, ys[None, :-1])
-            q0 = ex.poly_eval(Q, x0, ys[1:]) - ex.poly_eval(Q, x0, ys[:-1])
-            return q_hi - q0[None, :]
-
-        return GaugePotential(x_anchor=x_anchor, a2=a2, _edge_fn=edge_fn, exact=True)
-
-    Bfun = setup.B
-
-    def a2(x, y, Bfun=Bfun, x0=x_anchor):
-        # the cell rule in s = x0 + (x - x0) u on nseg equal parts of u in [0, 1],
-        # so that no segment is wider than _CELL_SEGMENT in s
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        nseg = max(1, math.ceil(np.abs(x - x0).max(initial=0.0) / _CELL_SEGMENT))
-        u, w, _ = _cell_rule(np.linspace(0.0, 1.0, nseg + 1))
-        out = (x - x0) * (Bfun(x0 + (x - x0)[..., None] * u, y[..., None]) * w).sum(axis=-1)
-        return float(out) if out.ndim == 0 else out
-
-    def edge_fn(xs, ys, Bfun=Bfun, x0=x_anchor):
+    def edge_fn(xs, ys, Bfun=setup.B, x0=x_anchor):
         # I[i, j] integrates B over [x0, xs[i]] x [ys[j], ys[j+1]]: integrate
         # B once over each cell between consecutive x-breakpoints and y-nodes,
         # then sum the cells outward from the anchor
@@ -320,4 +309,4 @@ def gauge_from_field(setup: FieldSetup, x_anchor=None) -> GaugePotential:
         prim[:a] = -np.cumsum(cells[:a][::-1], axis=0)[::-1]
         return prim[np.searchsorted(xb, xs)]
 
-    return GaugePotential(x_anchor=x_anchor, a2=a2, _edge_fn=edge_fn, exact=False)
+    return GaugePotential(x_anchor=x_anchor, _edge_fn=edge_fn)

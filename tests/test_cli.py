@@ -109,6 +109,8 @@ class TestErrorHandling:
         ("oracle", {"field": {"b": "1 + x^2 + y^2", "phi": 5}}, 2),
         ("sweep", {"field": {"b": "1 + x^2 + y^2", "phi": 5}}, 2),
         ("sweep", {"field": {"b": "1 + (x"}}, 2),
+        ("sweep", {"field": {"b": "1 + x^2 + y^2", "domain": [-2, 2, -2]}}, 2),
+        ("sweep", {"field": {"b": "1 + x^2 + y^2", "domain": ["a", "b", "c", "d"]}}, 2),
     ])
     def test_bad_section_values_exit_with_message(self, capsys, tmp_path,
                                                   command, doc, code):
@@ -131,6 +133,17 @@ class TestErrorHandling:
         code, out, err = run(capsys, "gaps", "--config", cfg)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "residual test" in err
+
+    @pytest.mark.parametrize("flag", ["--dump-matrix", "--out", "--config"])
+    def test_unusable_path_exits_2(self, capsys, tmp_path, flag):
+        cfg = write_config(tmp_path, {"solve": {"h": 0.2, "n": 32, "m": 2}})
+        path = {"--dump-matrix": str(tmp_path / "missing" / "m.mtx"),
+                "--out": str(tmp_path / "missing" / "x.csv"),
+                "--config": str(tmp_path)}[flag]
+        args = ["solve", flag, path] + (["--config", cfg] if flag != "--config" else [])
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_flag_exits_2(self, capsys):
         # --threads was removed: it could not limit BLAS once numpy had loaded

@@ -18,7 +18,6 @@ from magspec.fieldgeom import (FieldSetup, GaugePotential, Rectangle,
 def zero_gauge():
     return GaugePotential(
         x_anchor=0.0,
-        a2=lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
         _edge_fn=lambda xs, ys: np.zeros((xs.size, ys.size - 1)),
         exact=True)
 

@@ -232,22 +232,30 @@ class TestTiledField:
         assert diff.max() <= 1e-13
 
     def test_gauge_exact_across_seams(self):
-        g = TiledField(standard_well(), 3).gauge()
+        tf = TiledField(standard_well(), 3)
+        g = tf.gauge()
         xs = np.array([1.7, 2.3])  # straddling the x = 2 cell seam
         ys = np.array([1.8, 2.2])  # edge crossing the y = 2 seam
         out = g.y_edge_integrals(xs, ys)
         for i, x in enumerate(xs):
-            q, _ = scipy.integrate.quad(lambda t: float(g.a2(x, t)),
-                                        ys[0], ys[1], epsabs=1e-12, limit=200)
-            assert out[i, 0] == pytest.approx(q, abs=1e-12)
+            # flux of B through [0, x] x [1.8, 2.2], split at the seams
+            q = sum(scipy.integrate.dblquad(lambda t, u: float(tf.B(u, t)), x0, x1,
+                                            y0, y1, epsabs=1e-13, epsrel=1e-13)[0]
+                    for x0, x1 in ((0.0, min(x, 2.0)), (2.0, max(x, 2.0)))
+                    for y0, y1 in ((1.8, 2.0), (2.0, 2.2)))
+            assert out[i, 0] == pytest.approx(q, rel=1e-12, abs=1e-13)
 
     def test_gauge_derivative_recovers_tiled_field(self):
+        # I[i+1, j] - I[i, j] is the flux of B through the cell between
+        # the two edges; checked in three different tiles
         tf = TiledField(standard_well(), 3)
         g = tf.gauge()
-        d = 1e-5
-        for x, y in ((0.4, -0.7), (2.6, 1.2), (-3.8, 3.1)):
-            fd = (float(g.a2(x + d, y)) - float(g.a2(x - d, y))) / (2 * d)
-            assert fd == pytest.approx(float(tf.B(x, y)), abs=1e-8)
+        for x0, y0 in ((0.4, -0.7), (2.6, 1.2), (-3.8, 3.1)):
+            xs, ys = np.array([x0, x0 + 0.15]), np.array([y0, y0 + 0.1])
+            I = g.y_edge_integrals(xs, ys)
+            q, _ = scipy.integrate.dblquad(lambda t, u: float(tf.B(u, t)), *xs, *ys,
+                                           epsabs=1e-13, epsrel=1e-13)
+            assert I[1, 0] - I[0, 0] == pytest.approx(q, rel=1e-11)
 
 
 class TestDetectGaps:

@@ -106,50 +106,55 @@ class TestWellData:
 
 class TestGaugeFromField:
     def test_polynomial_antiderivative(self):
+        # A2 = x + x^3/3 + x y^2, integrated over each y-edge in closed form
         s = FieldSetup("1 + x^2 + y^2", None, SQUARE2)
         g = gauge_from_field(s, x_anchor=0.0)
         assert g.exact
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            x, y = rng.uniform(-2, 2, 2)
-            expected = x + x ** 3 / 3 + x * y * y
-            assert g.a2(x, y) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        xs = rng.uniform(-2, 2, 20)
+        ys = np.sort(rng.uniform(-2, 2, 12))
+        out = g.y_edge_integrals(xs, ys)
+        y0, y1 = ys[None, :-1], ys[None, 1:]
+        x = xs[:, None]
+        expected = (x + x ** 3 / 3) * (y1 - y0) + x * (y1 ** 3 - y0 ** 3) / 3
+        np.testing.assert_allclose(out, expected, rtol=1e-13)
 
     def test_a2_x_derivative_recovers_field(self):
+        # d/dx of an edge integral is the integral of B along that edge
         s = FieldSetup("1 + x^2 + y^2", None, SQUARE2)
         g = gauge_from_field(s, x_anchor=0.0)
         rng = np.random.default_rng(1)
         d = 1e-3
-        for _ in range(100):
+        for _ in range(20):
             x, y = rng.uniform(-1.8, 1.8, 2)
+            ys = np.array([y, y + 0.1])
+            I = g.y_edge_integrals(x + d * np.array([2, 1, -1, -2]), ys)[:, 0]
             # 4th-order central difference: exact for the cubic A2 up to roundoff
-            fd = (-g.a2(x + 2 * d, y) + 8 * g.a2(x + d, y)
-                  - 8 * g.a2(x - d, y) + g.a2(x - 2 * d, y)) / (12 * d)
-            assert abs(fd - s.B(x, y)) <= 1e-10
+            fd = (-I[0] + 8 * I[1] - 8 * I[2] + I[3]) / (12 * d)
+            q, _ = scipy.integrate.quad(lambda t: s.B(x, t), *ys, epsabs=1e-14)
+            assert abs(fd - q) <= 1e-11
 
     def test_y_edge_integrals_match_quadrature(self):
         s = FieldSetup("1 + x^2 + y^2", None, SQUARE2)
-        g = gauge_from_field(s, x_anchor=0.0)
-        xs = np.array([-1.3, 0.2, 1.7])
-        ys = np.array([-1.5, -0.4, 0.9, 1.8])
-        out = g.y_edge_integrals(xs, ys)
-        for i, x in enumerate(xs):
-            for j in range(len(ys) - 1):
-                q, _ = scipy.integrate.quad(lambda t: g.a2(x, t), ys[j], ys[j + 1],
-                                            epsabs=1e-13)
-                assert out[i, j] == pytest.approx(q, abs=1e-12)
+        self._check_fluxes(s, gauge_from_field(s, x_anchor=0.3), 0.3)
 
     def test_nonpolynomial_field_quadrature_path(self):
         s = FieldSetup("2 + sin(x)*cos(y)", None, SQUARE2)
         g = gauge_from_field(s, x_anchor=0.0)
         assert not g.exact
-        # A2 = int_0^x B(s, y) ds against adaptive quadrature
-        for x, y in ((1.2, -0.7), (-1.6, 0.4)):
-            q, _ = scipy.integrate.quad(lambda t: s.B(t, y), 0.0, x, epsabs=1e-12)
-            assert g.a2(x, y) == pytest.approx(q, abs=1e-9)
-        out = g.y_edge_integrals(np.array([0.8]), np.array([-0.5, 0.5]))
-        q, _ = scipy.integrate.quad(lambda t: g.a2(0.8, t), -0.5, 0.5, epsabs=1e-12)
-        assert out[0, 0] == pytest.approx(q, abs=1e-9)
+        self._check_fluxes(s, g, 0.0)
+
+    @staticmethod
+    def _check_fluxes(s, g, x_anchor):
+        # I[i, j] is the flux of B through [x_anchor, xs[i]] x [ys[j], ys[j+1]]
+        xs = np.array([-1.3, 0.2, 1.7])
+        ys = np.array([-1.5, -0.4, 0.9, 1.8])
+        out = g.y_edge_integrals(xs, ys)
+        for i, x in enumerate(xs):
+            for j in range(len(ys) - 1):
+                q, _ = scipy.integrate.dblquad(lambda t, u: s.B(u, t), x_anchor, x,
+                                               ys[j], ys[j + 1], epsabs=1e-13, epsrel=1e-13)
+                assert out[i, j] == pytest.approx(q, rel=1e-12, abs=1e-13)
 
     def test_quadrature_edges_match_exact_gauge(self):
         # "+ 0*sin(x)" hides the polynomial, forcing the quadrature gauge
@@ -190,29 +195,19 @@ class TestGaugeFromField:
         g.y_edge_integrals(grid.xs, grid.ys)
         assert sum(points) < 100 * grid.nx * (grid.ny - 1)
 
-    @pytest.mark.parametrize("x, y", [
-        (0.8, -0.3), (np.array([0.8, -1.1]), -0.3), (0.8, np.array([0.1, 0.3])),
-        (np.array([[0.8], [-1.1]]), np.array([0.1, 0.3, -1.7]))])
-    def test_a2_broadcasts_like_the_exact_gauge(self, x, y):
-        exact = gauge_from_field(standard_well(), x_anchor=0.2)
-        quad = gauge_from_field(FieldSetup("1 + x^2 + y^2 + 0*sin(x)", None, SQUARE2),
-                                x_anchor=0.2)
-        ref, out = exact.a2(x, y), quad.a2(x, y)
-        assert np.shape(out) == np.shape(ref) == np.broadcast(x, y).shape
-        np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-14)
-
     def test_constant_phi_scales_exact_gauges(self):
         # B = b e^{2 phi}: with phi = 0.3 both exact gauges carry e^{0.6}
+        flat = FieldSetup("1 + x^2 + y^2", None, SQUARE2)
         s = FieldSetup("1 + x^2 + y^2", "0.3", SQUARE2)
-        g = gauge_from_field(s, x_anchor=0.0)
-        assert g.exact
-        d = 1e-3
-        for gauge in (g, TiledField(s, 1).gauge()):
-            for x, y in ((0.4, -0.7), (-1.3, 1.1), (1.6, 0.2)):
-                fd = (-gauge.a2(x + 2 * d, y) + 8 * gauge.a2(x + d, y)
-                      - 8 * gauge.a2(x - d, y) + gauge.a2(x - 2 * d, y)) / (12 * d)
-                b = 1 + x * x + y * y
-                assert float(fd) == pytest.approx(b * math.exp(0.6), rel=1e-10)
+        xs = np.array([-1.3, 0.4, 1.6])
+        ys = np.array([-0.7, 0.2, 1.1])
+        for make in (lambda f: gauge_from_field(f, x_anchor=0.0),
+                     lambda f: TiledField(f, 1).gauge()):
+            g = make(s)
+            assert g.exact
+            np.testing.assert_allclose(g.y_edge_integrals(xs, ys),
+                                       math.exp(0.6) * make(flat).y_edge_integrals(xs, ys),
+                                       rtol=1e-14)
 
     def test_polynomial_B(self):
         assert polynomial_B(FieldSetup("1 + x^2", "0.3", SQUARE2)) == pytest.approx(
@@ -224,7 +219,8 @@ class TestGaugeFromField:
         s = FieldSetup("1 + (x - 0.3)^2 + 2*(y + 0.1)^2", None, SQUARE2)
         g = gauge_from_field(s)
         assert g.x_anchor == pytest.approx(0.3, abs=1e-10)
-        assert abs(g.a2(g.x_anchor, 0.77)) <= 1e-13
+        edges = g.y_edge_integrals([g.x_anchor], np.linspace(-1.5, 1.7, 9))
+        assert np.abs(edges).max() <= 1e-15
 
 
 class TestTransformedGauge:
