@@ -244,9 +244,22 @@ def _build_parser():
     return p
 
 
+def _check_writable(path):
+    """Fail before any work when `path` cannot be an output file.  Nothing
+    is created, so an existing file survives a failed command."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"output path is a directory: {path}")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(f"output directory does not exist: {path}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_writable(args.out)
+        _check_writable(args.dump_matrix)
         doc = _load_config(args.config)
         return _COMMANDS[args.command](args, doc)
     except (ConfigError, ParseError, OSError) as err:

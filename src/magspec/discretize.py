@@ -70,14 +70,23 @@ class Grid:
 
 @dataclass
 class AssembledOperator:
-    """Sparse Hermitian stiffness H plus diagonal mass M for the pencil (H, M)."""
+    """Sparse Hermitian stiffness H plus diagonal mass M for the pencil (H, M).
+
+    `floor` is a proven lower bound of the spectrum: the magnetic form is
+    positive semidefinite, so every eigenvalue is at least min(0, min V).
+    `bottom` = floor + h * max(min b, 0), with b = B / e^{2 phi} at the nodes,
+    is Montgomery's estimate of where the spectrum starts (the quadratic-form
+    bound h * int b |u|^2 of the continuous operator).  It is not a bound on
+    the grid, where coarse grids can put eigenvalues below it; on a grid whose
+    plaquette flux exceeds pi, which aliases the field and puts eigenvalues
+    far below it, `bottom` is the floor.
+    """
 
     H: sp.csr_matrix
     M: np.ndarray  # diagonal entries
     grid: Grid
-    # lower bound of the spectrum: the magnetic form is positive semidefinite,
-    # so every eigenvalue is at least min(0, min V)
     floor: float = 0.0
+    bottom: float = 0.0
 
     @property
     def dim(self):
@@ -91,7 +100,8 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
     y-edge integrals of A2 (A1 = 0), exact or by quadrature.  `potential` is
     an optional scalar function added as V(x, y) * M on the diagonal;
     min(0, min V) becomes the operator's `floor`, a lower bound of its
-    spectrum.
+    spectrum, and floor + h * max(min b, 0) its `bottom` estimate (the floor
+    on an aliased grid).
     """
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
@@ -105,7 +115,8 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
     cy = h * h / dy ** 2 * w
 
     X, Y = grid.meshgrid()
-    mass = np.broadcast_to(setup.mass_weight(X, Y), X.shape) * w  # (nx, ny)
+    weight = np.broadcast_to(setup.mass_weight(X, Y), X.shape)
+    mass = weight * w  # (nx, ny)
 
     # Peierls phases on y-edges between interior nodes: theta[i, j] for the
     # edge (i, j) -> (i, j+1); x-edges carry phases only for transformed
@@ -115,10 +126,13 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
     x_edge = getattr(gauge, "x_edge_integrals", None)
     theta_x = None if x_edge is None else -x_edge(xs, ys) / h  # (nx-1, ny)
 
-    # aliasing guard: plaquette flux should stay below pi
-    Bmax = float(np.abs(setup.B(X, Y)).max())
-    if Bmax * dx * dy / h > np.pi:
+    # aliasing guard: plaquette flux should stay below pi; a grid that
+    # aliases the field gets no bottom estimate above the floor
+    B = setup.B(X, Y)
+    aliased = float(np.abs(B).max()) * dx * dy / h > np.pi
+    if aliased:
         warnings.warn("flux per plaquette exceeds pi -- refine grid")
+    b_min = 0.0 if aliased else float(np.min(B / weight))
 
     idx = np.arange(grid.size).reshape(nx, ny)
 
@@ -160,7 +174,8 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.size, grid.size),
     ).tocsr()
-    return AssembledOperator(H=H, M=mass.reshape(-1), grid=grid, floor=floor)
+    return AssembledOperator(H=H, M=mass.reshape(-1), grid=grid, floor=floor,
+                             bottom=floor + h * max(b_min, 0.0))
 
 
 def magnetic_form(op: AssembledOperator, u) -> float:

@@ -34,6 +34,7 @@ __all__ = [
     "standard_well",
     "curved_well",
     "grid_size",
+    "richardson",
     "run_sweep",
     "fit_expansion",
     "montgomery_check",
@@ -82,18 +83,22 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        hs = tuple(float(h) for h in self.h_list)
+        try:
+            hs = tuple(float(h) for h in self.h_list)
+            dom = tuple(float(v) for v in self.domain)
+            if self.n_fixed is not None:
+                object.__setattr__(self, "n_fixed", int(self.n_fixed))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"h_list, domain and grid n must be numbers: "
+                              f"{err}") from err
         if any(h <= 0 for h in hs):
             raise ConfigError("h_list entries must be positive")
         if any(a <= b for a, b in zip(hs, hs[1:])):
             raise ConfigError("h_list must be strictly descending")
         object.__setattr__(self, "h_list", hs)
-        dom = tuple(float(v) for v in self.domain)
         if len(dom) != 4:
             raise ConfigError("domain must be four numbers")
         object.__setattr__(self, "domain", dom)
-        if self.n_fixed is not None:
-            object.__setattr__(self, "n_fixed", int(self.n_fixed))
         if not (isinstance(self.richardson, bool) and isinstance(self.quasimode, bool)):
             raise ConfigError("richardson and quasimode must be true or false")
         if self.m < 1:
@@ -158,6 +163,17 @@ def _sweep_grid(cfg: SweepConfig, dom: Rectangle, h: float) -> Grid:
                 grid_size(dom.height, h, cfg.grid_c, cfg.n_max))
 
 
+def richardson(lam_fine, dx_fine, lam_coarse, dx_coarse):
+    """Extrapolate an O(dx^2) discretization error out of a grid pair.
+
+    The weights are 1/dx^2 of the two grids, so lam + c dx^2 on both gives
+    lam back for any spacing ratio; a ratio of exactly 2 gives (4 lam_fine -
+    lam_coarse) / 3.
+    """
+    r = (dx_coarse / dx_fine) ** 2
+    return (r * lam_fine - lam_coarse) / (r - 1.0)
+
+
 def _certified(res):
     """`res`, after checking that every pair passed its residual test."""
     bad = int(np.sum(~res.converged))
@@ -177,11 +193,12 @@ def run_sweep(config: SweepConfig) -> list:
     """Solve the m smallest eigenvalues for each h and compare to the
     two-term prediction h*b0 + h^2 * mu_{j,0,2}.
 
-    Richardson extrapolation over the (n, n/2) grid pair removes the leading
-    second-order discretization error from lambda_computed.  Every pair of
-    both solves must pass its residual test.  A failure at one h produces a
-    single failure record and does not abort the sweep; a field that is not
-    a valid well gives one failure record, a malformed one raises.
+    Richardson extrapolation over the (n, n/2) grid pair, weighted by the
+    grids' real spacings, removes the leading second-order discretization
+    error from lambda_computed.  Every pair of both solves must pass its
+    residual test.  A failure at one h produces a single failure record and
+    does not abort the sweep; a field that is not a valid well gives one
+    failure record, a malformed one raises.
     """
     records = []
     try:
@@ -203,7 +220,7 @@ def run_sweep(config: SweepConfig) -> list:
                 lam_half = _certified(smallest_eigenpairs(
                     assemble(setup, gauge, half, h), config.m,
                     tol=config.tol, seed=config.seed)).eigenvalues
-                lam = (4.0 * lam - lam_half) / 3.0
+                lam = richardson(lam, grid.dx, lam_half, half.dx)
             qres = math.nan
             if config.quasimode:
                 phi = build_leading_quasimode(

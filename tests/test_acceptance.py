@@ -19,7 +19,8 @@ from magspec.discretize import Grid, assemble, field_mass, magnetic_form
 from magspec.eigensolve import (eigenpairs_near, nearest_eigenvalue,
                                 smallest_eigenpairs)
 from magspec.experiments import (SweepConfig, fit_expansion, grid_size,
-                                 run_gap_experiment, run_sweep, standard_well)
+                                 richardson, run_gap_experiment, run_sweep,
+                                 standard_well)
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
                                gauge_from_field, well_data)
 from magspec.hermite import (hermite_norm_sq, hermite_poly, moment_table,
@@ -178,7 +179,7 @@ def test_acceptance_06_excited_ladder_proximity(capfd, std_ctx):
     Protocol: shift-invert at the target on two grids per h; on each grid
     select the converged eigenpair of largest alignment |<phi, M v>| and
     require it to dominate every other pair; Richardson-extrapolate the
-    selected branch in dx^2 with dx = L/(n+1).  The remainder
+    selected branch in dx^2 with dx = L/(n+1) (`richardson`).  The remainder
     lambda - target is O(h^{5/2}) (README), so |lambda - target|/h^2 must
     shrink from h=0.1 to h=0.04 by at least the factor (0.04/0.1)^{1/2}.
     """
@@ -204,10 +205,8 @@ def test_acceptance_06_excited_ladder_proximity(capfd, std_ctx):
             aligns.append((n, float(align[best]), runner_up))
             ok = (ok and bool(res.converged[best]) and align[best] >= 0.9
                   and runner_up <= 0.1)
-            branch[n] = float(res.eigenvalues[best])
-        wf = (nf + 1) ** 2
-        wc = (nc + 1) ** 2
-        extrap = (wf * branch[nf] - wc * branch[nc]) / (wf - wc)
+            branch[n] = (float(res.eigenvalues[best]), grid.dx)
+        extrap = richardson(*branch[nf], *branch[nc])
         scaled[h] = (extrap - target) / h ** 2
     bound = math.sqrt(0.04 / 0.1)
     ratio = abs(scaled[0.04]) / abs(scaled[0.1])

@@ -9,7 +9,7 @@ import re
 import pytest
 
 import magspec
-from magspec import experiments
+from magspec import cli, experiments
 from magspec.cli import main
 
 
@@ -135,7 +135,12 @@ class TestErrorHandling:
         assert err.startswith("error:") and "residual test" in err
 
     @pytest.mark.parametrize("flag", ["--dump-matrix", "--out", "--config"])
-    def test_unusable_path_exits_2(self, capsys, tmp_path, flag):
+    def test_unusable_path_exits_2(self, capsys, tmp_path, flag, monkeypatch):
+        # the path is rejected before any assembly or eigensolve work
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before the path was checked")
+        monkeypatch.setattr(cli, "assemble", must_not_run)
+        monkeypatch.setattr(cli, "smallest_eigenpairs", must_not_run)
         cfg = write_config(tmp_path, {"solve": {"h": 0.2, "n": 32, "m": 2}})
         path = {"--dump-matrix": str(tmp_path / "missing" / "m.mtx"),
                 "--out": str(tmp_path / "missing" / "x.csv"),
@@ -144,6 +149,18 @@ class TestErrorHandling:
         code, _, err = run(capsys, *args)
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_failed_command_keeps_existing_out_file(self, capsys, tmp_path):
+        dest = tmp_path / "x.csv"
+        dest.write_text("previous\n")
+        cfg = write_config(tmp_path, {"solve": {"h": -0.1, "n": 32, "m": 2}})
+        code, _, _ = run(capsys, "solve", "--config", cfg, "--out", str(dest))
+        assert code == 1
+        assert dest.read_text() == "previous\n"
+
+    def test_out_is_a_directory_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "oracle", "--out", str(tmp_path))
+        assert code == 2 and err.startswith("error:")
 
     def test_unknown_flag_exits_2(self, capsys):
         # --threads was removed: it could not limit BLAS once numpy had loaded

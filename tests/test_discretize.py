@@ -119,6 +119,18 @@ class TestAssemble:
         shifted = (opv.H - opv.floor * sp.diags(opv.M)).toarray()
         assert np.linalg.eigvalsh(shifted).min() > 0.0
 
+    def test_bottom_is_floor_plus_h_min_b(self):
+        # b = B / e^{2 phi} at the nodes, not B itself
+        s = FieldSetup("2 + x^2 + y^2", "-(x^2 + y^2)/8",
+                       Rectangle(-2.0, 2.0, -2.0, 2.0))
+        grid = Grid(s.domain, 16, 16)
+        X, Y = grid.meshgrid()
+        op = assemble(s, gauge_from_field(s, x_anchor=0.0), grid, 0.1,
+                      potential=lambda x, y: x - 3.0)
+        assert op.floor == (X - 3.0).min()
+        assert op.bottom == pytest.approx(op.floor + 0.1 * (2 + X ** 2 + Y ** 2).min(),
+                                          rel=1e-14)
+
     def test_flux_aliasing_warning(self):
         s = FieldSetup("1", None, Rectangle(-3.0, 3.0, -3.0, 3.0))
         g = gauge_from_field(s, x_anchor=0.0)

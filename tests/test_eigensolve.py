@@ -1,6 +1,8 @@
 """Generalized eigenpairs of the pencil (H, M): the shift-invert core against
 a dense reference, its contracts, certification and invariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from magspec.discretize import Grid, assemble
 from magspec.eigensolve import (eigenpairs_near, nearest_eigenvalue,
                                 smallest_eigenpairs)
 from magspec.errors import DomainError
+from magspec.experiments import TiledField, standard_well
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
                                gauge_from_field)
 
@@ -24,11 +27,14 @@ def std_operator(n, h=0.1, domain=SQUARE2):
     return assemble(s, g, Grid(domain, n, n), h)
 
 
+def symmetrized(op):
+    d = 1.0 / np.sqrt(op.M)
+    return (sp.diags(d) @ op.H @ sp.diags(d)).tocsc()
+
+
 def dense_reference(op, m):
     """The m smallest eigenvalues by a dense solve of the symmetrized pencil."""
-    d = 1.0 / np.sqrt(op.M)
-    Hs = (sp.diags(d) @ op.H @ sp.diags(d)).toarray()
-    return np.sort(scipy.linalg.eigvalsh(Hs))[:m]
+    return np.sort(scipy.linalg.eigvalsh(symmetrized(op).toarray()))[:m]
 
 
 class TestSmallestEigenpairs:
@@ -116,6 +122,133 @@ class TestSmallestEigenpairs:
             smallest_eigenpairs(op, 2, tol=1e-14)
 
 
+class TestCertifiedShift:
+    """The smallest pairs are sought just below the bottom estimate; an
+    inertia count certifies that shift or sends the request to the floor."""
+
+    def test_inertia_count_matches_dense(self):
+        op = std_operator(40)
+        Hs = symmetrized(op)
+        ev = scipy.linalg.eigvalsh(Hs.toarray())
+        # below lambda_1, between levels, and above several levels
+        for sigma in (0.5 * ev[0], 0.999 * ev[0], 0.5 * (ev[0] + ev[1]),
+                      0.5 * (ev[3] + ev[4]), 0.5 * (ev[10] + ev[11])):
+            lu = es._factor(Hs, sigma, inertia=True)
+            assert es._count_below(lu) == int(np.sum(ev <= sigma))
+
+    def test_off_diagonal_pivots_give_no_count(self):
+        # a zero diagonal forces SuperLU off the diagonal; U's diagonal is
+        # then all positive although one eigenvalue (-1) is negative
+        A = sp.csc_matrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 2]],
+                                   dtype=complex))
+        assert es._count_below(es._factor(A, 0.0, inertia=True)) is None
+
+    def test_standard_well_uses_certified_shift(self):
+        op = std_operator(40)
+        assert op.floor == 0.0 and 0.1 <= op.bottom < 0.101  # h * min b
+        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        assert op.floor < res.shift < op.bottom
+        assert np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 6),
+                                   rtol=1e-12, atol=0)
+
+    def test_count_follows_the_krylov_loop(self, monkeypatch):
+        # reading lu.U caches copies of both factors: not during the loop
+        order = []
+        real_eigsh, real_count = spla.eigsh, es._count_below
+
+        def eigsh(*args, **kwargs):
+            order.append("eigsh")
+            return real_eigsh(*args, **kwargs)
+
+        def count(lu):
+            order.append("count")
+            return real_count(lu)
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        monkeypatch.setattr(es, "_count_below", count)
+        smallest_eigenpairs(std_operator(40), 4, tol=1e-10)
+        assert order == ["eigsh", "count"]
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """(certify, discarded, solves) of every ARPACK run."""
+        log = []
+        real = es._arpack_near
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            log.append((kwargs.get("certify", False), out[0] is None, out[2]))
+            return out
+        monkeypatch.setattr(es, "_arpack_near", spy)
+        return log
+
+    def test_estimate_above_spectrum_falls_back_to_floor(self, runs):
+        # b = 1 on a coarse (unaliased) grid: the discrete lowest Landau
+        # level lies below 0.95 h, so the count is nonzero
+        s = FieldSetup("1", None, Rectangle(-3.0, 3.0, -3.0, 3.0))
+        op = assemble(s, gauge_from_field(s, x_anchor=0.0),
+                      Grid(s.domain, 24, 24), 0.1)
+        assert op.bottom == pytest.approx(0.1)
+        assert dense_reference(op, 1)[0] < 0.95 * op.bottom
+        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        assert res.shift == op.floor
+        assert [r[:2] for r in runs] == [(True, True), (False, False)]
+        assert runs[0][2] > 0 and res.iterations == runs[0][2] + runs[1][2]
+        assert np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 6),
+                                   rtol=1e-12, atol=0)
+
+    def test_aliased_grid_shifts_at_floor(self, runs):
+        # 3x3 tiling on 24x24 at h = 0.05: the grid aliases the field and
+        # has eigenvalues far below h min b, so no estimate is made
+        tiled = TiledField(standard_well(), 3)
+        with pytest.warns(UserWarning, match="flux per plaquette"):
+            op = assemble(tiled, tiled.gauge(), Grid(tiled.domain, 24, 24), 0.05)
+        assert op.bottom == op.floor
+        assert dense_reference(op, 1)[0] < 0.95 * 0.05
+        res = smallest_eigenpairs(op, 20, tol=1e-10)
+        assert res.shift == op.floor
+        assert [r[:2] for r in runs] == [(False, False)]
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 20),
+                                   rtol=1e-12, atol=0)
+
+    def test_singular_factor_falls_back_to_floor(self, runs, monkeypatch):
+        real = es._factor
+
+        def singular(Hs, sigma, inertia=False):
+            if inertia:
+                raise RuntimeError("Factor is exactly singular")
+            return real(Hs, sigma, inertia)
+        monkeypatch.setattr(es, "_factor", singular)
+        op = std_operator(40)
+        res = smallest_eigenpairs(op, 4, tol=1e-10)
+        assert res.shift == op.floor
+        assert [r for r in runs] == [(True, True, 0), (False, False, res.iterations)]
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 4),
+                                   rtol=1e-12, atol=0)
+
+    def test_unconverged_uncertified_attempt_falls_back(self, runs, monkeypatch):
+        # ARPACK stops early at a shift above the spectrum: the nonzero
+        # count discards the partial pairs and the floor run answers
+        op = dataclasses.replace(std_operator(40), bottom=0.3)
+        real = spla.eigsh
+        calls = []
+
+        def eigsh(*args, **kwargs):
+            calls.append(kwargs["sigma"])
+            vals, vecs = real(*args, **kwargs)
+            if len(calls) == 1:
+                raise spla.ArpackNoConvergence("stopped early", vals[:1],
+                                               vecs[:, :1])
+            return vals, vecs
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        res = smallest_eigenpairs(op, 4, tol=1e-10)
+        assert calls == [0.95 * 0.3, 0.0] and res.shift == 0.0
+        assert [r[:2] for r in runs] == [(True, True), (False, False)]
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 4),
+                                   rtol=1e-12, atol=0)
+
+
 class TestEigenpairsNear:
     def test_matches_dense_window(self):
         op = std_operator(12, h=0.1)
@@ -176,7 +309,8 @@ class TestNearestEigenvalue:
                               eigenvectors=np.empty((0, len(vals))),
                               residuals=np.zeros(len(vals)),
                               iterations=0,
-                              converged=np.ones(len(vals), dtype=bool))
+                              converged=np.ones(len(vals), dtype=bool),
+                              shift=0.0)
 
     def test_exact_member(self):
         lam, dist = nearest_eigenvalue(self._result([0.1, 0.2, 0.3]), 0.2)

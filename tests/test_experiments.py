@@ -14,7 +14,8 @@ from magspec.errors import ConfigError, DomainError
 from magspec.experiments import (GapReport, SweepConfig, SweepRecord,
                                  TiledField, curved_well, detect_gaps,
                                  fit_expansion, grid_size, montgomery_check,
-                                 run_sweep, standard_well, write_records)
+                                 richardson, run_sweep, standard_well,
+                                 write_records)
 from magspec.fieldgeom import FieldSetup, Rectangle, gauge_from_field
 from magspec.wellmodel import WellData, mu_jk2
 
@@ -60,6 +61,31 @@ class TestSweepConfig:
     def test_from_dict_missing_field(self):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"sweep": {}})
+
+    @pytest.mark.parametrize("bad", [{"h_list": ("a",)},
+                                     {"h_list": (0.1,), "n_fixed": "x"},
+                                     {"h_list": (0.1,), "domain": ("a", 2, -2, 2)}],
+                             ids=["h_list", "n_fixed", "domain"])
+    def test_non_numeric_entries_are_config_errors(self, bad):
+        # constructed directly, not only through from_dict
+        with pytest.raises(ConfigError):
+            SweepConfig(b="1", **bad)
+
+
+class TestRichardson:
+    def test_recovers_limit_on_real_spacings(self):
+        # the default sweep's h = 0.06 pair: spacing ratio^2 = 3.9706, not 4
+        dx_f, dx_c = 4.0 / 271, 4.0 / 136
+        lam, c = 0.0637, 1.7
+        got = richardson(lam + c * dx_f ** 2, dx_f, lam + c * dx_c ** 2, dx_c)
+        assert got == pytest.approx(lam, rel=1e-14)
+        # the halving formula keeps about 1% of the c dx_f^2 error there
+        old = (4 * (lam + c * dx_f ** 2) - (lam + c * dx_c ** 2)) / 3
+        assert abs(old - lam) > 1e-3 * c * dx_f ** 2
+
+    def test_exact_halving_is_the_classical_formula(self):
+        # dx = 4/340 and 4/170: the ratio is exactly 2
+        assert richardson(0.3, 4.0 / 340, 0.7, 4.0 / 170) == (4 * 0.3 - 0.7) / 3
 
 
 class TestRunSweep:
