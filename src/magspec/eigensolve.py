@@ -7,20 +7,34 @@ window nearest a shift below the spectrum, an interior window is the one
 nearest its target.  `Grid` keeps dim >= 64 and m <= dim/4, so the Krylov
 request k always fits below dim.
 
-The bottom is sought first at sigma = floor + 0.95 (bottom - floor), just
-below the operator's Montgomery estimate `bottom` (floor + h min b, or the
-floor itself on a grid that aliases the field), where the transformed
-eigenvalues 1/(lambda - sigma) of the wanted pairs are well separated; at
-the floor they crowd together near 1/(h b0).  That factor is unpivoted
-(SuperLU in symmetric mode, an LDL^H-type factor), so by Sylvester's law the
-number of its nonpositive U-diagonal entries is the number of eigenvalues at
-or below sigma (Grimes, Lewis & Simon 1994).  A count of 0, taken after the
-Krylov loop, certifies that the k eigenvalues nearest sigma are the k
-smallest.  A nonzero count (on coarse grids), a singular factor, or
-pivots that left the diagonal discard the attempt, and the request is rerun
-at the floor min(0, min V), a proven lower bound, with the pivoted factor.
-`EigenResult.shift` records the shift used; `iterations` counts the
-shift-invert solves of both runs.
+The bottom is sought at sigma = floor + 0.95 (bottom - floor), just below the
+operator's Montgomery estimate `bottom` (floor + h min b, or the floor itself
+on a grid that aliases the field), where the transformed eigenvalues
+1/(lambda - sigma) of the wanted pairs are well separated; at the floor they
+crowd together near 1/(h b0).  An unpivoted factor of Hs - tau I (SuperLU in
+symmetric mode, an LDL^H-type factor) counts the eigenvalues at or below tau:
+by Sylvester's law they are its nonpositive U-diagonal entries (Grimes, Lewis
+& Simon 1994).  At most two Krylov requests are made at sigma:
+
+- The small request, for m <= 24, where the full request's basis would be
+  set by its floor of 80 vectors: k = m + 2 pairs in 2k + 1 vectors within
+  10 implicit restarts (Lehoucq & Sorensen 1996).  It is kept only if the
+  count at a tau in a gap above lambda_m (`_count_above`) equals the number
+  of returned eigenvalues below tau.  That proves none below tau was missed,
+  also none below sigma, so its Krylov factor is never counted.
+- The full request: k = m + 5 pairs in at least 80 vectors, since highly
+  degenerate clusters (Landau levels) make ARPACK stagnate in a smaller
+  basis.  It runs for m >= 25 and whenever the small request is discarded
+  (a stall, no wide enough gap, a count that disagrees, a singular factor
+  or pivots off the diagonal).  A count of 0 at sigma, taken after its
+  Krylov loop, certifies that its k eigenvalues nearest sigma are the k
+  smallest.  A nonzero count (on coarse grids), a singular factor, or pivots
+  off the diagonal rerun it at the floor min(0, min V), a proven lower
+  bound, with the pivoted factor.
+
+`EigenResult.shift` records the shift-invert shift of the run that was kept,
+`count_shift` the shift of the count that certified it (tau, sigma, or None
+at the floor), and `iterations` the shift-invert solves of every run.
 
 `EigenResult.eigenvectors` is one (dim, m) complex array: column i is the
 eigenvector of eigenvalues[i], a grid function in the x-major layout of
@@ -42,6 +56,10 @@ __all__ = ["EigenResult", "smallest_eigenpairs", "eigenpairs_near",
            "nearest_eigenvalue"]
 
 _CLUSTER_MARGIN = 5
+# the full request's smallest Krylov basis
+_NCV_FLOOR = 80
+# implicit restarts the small request may take before the full one runs
+_SMALL_RESTARTS = 10
 # fraction of the way from the floor to the bottom estimate at which the
 # smallest pairs are sought first
 _BELOW_BOTTOM = 0.95
@@ -55,6 +73,9 @@ class EigenResult:
     iterations: int  # shift-invert solves (OPinv applications)
     converged: np.ndarray  # bool per pair
     shift: float  # the shift-invert shift of the run that was kept
+    # shift of the inertia count that certified the run: tau above lambda_m,
+    # or sigma; None for an uncertified run (at the floor, or near a target)
+    count_shift: float = None
 
     def __len__(self):
         return self.eigenvalues.size
@@ -90,27 +111,59 @@ def _count_below(lu):
     return int(np.sum(lu.U.diagonal().real <= 0))
 
 
-def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
-                 certify: bool = False):
-    """ARPACK's converged eigenpairs of Hs nearest sigma, at least m of them,
-    and the number of shift-invert solves (OPinv applications) it made.
+def _count_above(Hs, vals, vecs, m: int, tol: float):
+    """The shift tau of an inertia count above the m-th smallest of `vals`
+    that proves the pairs (vals, vecs) of Hs hold every eigenvalue below tau,
+    or None if no such count holds.
 
-    With `certify` the pairs are (None, None) unless the inertia count shows
-    no eigenvalue at or below sigma; the factorization lives only for this
-    call.
+    tau is the midpoint of the first gap at or above the m-th value that is
+    wider than 2 tol + 4 (r_i + r_{i+1}), r the pairs' residuals, so a
+    residual-sized error cannot carry an eigenvalue across tau.
+    """
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    res = (np.linalg.norm(Hs @ vecs - vecs * vals, axis=0)
+           / np.linalg.norm(vecs, axis=0))
+    wide = np.flatnonzero(np.diff(vals)[m - 1:]
+                          > 2 * tol + 4 * (res[m - 1:-1] + res[m:]))
+    if wide.size == 0:
+        return None
+    below = m + int(wide[0])  # returned values below tau
+    tau = 0.5 * (vals[below - 1] + vals[below])
+    try:
+        lu = _factor(Hs, tau, inertia=True)
+    except RuntimeError:  # exactly singular: tau is an eigenvalue
+        return None
+    return float(tau) if _count_below(lu) == below else None
+
+
+def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
+                 count: str = None):
+    """ARPACK's converged eigenpairs of Hs nearest sigma, at least m of them,
+    the number of shift-invert solves (OPinv applications) it made, and the
+    shift of the inertia count that certified the pairs.
+
+    `count` names the request and its certificate: "above" the small request,
+    certified by `_count_above` once the Krylov factor is freed; "sigma" the
+    full request, certified by a count of 0 at sigma; None the full request,
+    uncertified.  A certified request returns (None, None) pairs when it
+    stalls (small request only) or its certificate fails.
     """
     n = Hs.shape[0]
-    k = min(m + _CLUSTER_MARGIN, n - 2)
-    # generous subspace: highly degenerate clusters (Landau levels) make
-    # ARPACK with the default ncv stagnate
-    ncv = min(n - 1, max(2 * k + 20, 80))
+    small = count == "above"
+    if small:
+        k = m + 2
+        ncv, maxiter = 2 * k + 1, _SMALL_RESTARTS
+    else:
+        k = min(m + _CLUSTER_MARGIN, n - 2)
+        ncv, maxiter = min(n - 1, max(2 * k + 20, _NCV_FLOOR)), 2000
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        lu = _factor(Hs, sigma, inertia=certify)
+        lu = _factor(Hs, sigma, inertia=count == "sigma")
     except RuntimeError:  # exactly singular: sigma is an eigenvalue
-        if not certify:
+        if count is None:
             raise
-        return None, None, 0
+        return None, None, 0, None
     solves = 0
 
     def solve(x):
@@ -123,28 +176,35 @@ def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
         vals, vecs = spla.eigsh(Hs, k=k, sigma=sigma, which="LM", v0=v0,
                                 OPinv=spla.LinearOperator(Hs.shape, matvec=solve,
                                                           dtype=Hs.dtype),
-                                ncv=ncv, maxiter=2000,
+                                ncv=ncv, maxiter=maxiter,
                                 tol=max(tol * 1e-1, 1e-12))
     except spla.ArpackNoConvergence as err:
         # the pairs carried by the error are the ones ARPACK converged;
-        # dropping its traceback frees ARPACK's workspace before the count
+        # dropping its traceback frees ARPACK's workspace before any count
         stopped = err.with_traceback(None)
         vals, vecs = np.real(err.eigenvalues), err.eigenvectors
-    if certify and _count_below(lu) != 0:
-        return None, None, solves
+    if count == "sigma" and _count_below(lu) != 0:
+        return None, None, solves, None
+    del lu  # the count above lambda_m factors Hs again
+    if small:
+        tau = None if stopped is not None else _count_above(Hs, vals, vecs,
+                                                            m, tol)
+        if tau is None:
+            return None, None, solves, None
+        return vals, vecs, solves, tau
     if stopped is not None and vals.size < m:
         raise DomainError(
             f"eigensolver converged only {vals.size} of {m} pairs") from stopped
-    return vals, vecs, solves
+    return vals, vecs, solves, sigma if count else None
 
 
-def _shift_invert_pairs(op: AssembledOperator, sigma: float, m: int,
-                        tol: float, seed: int, key,
-                        fallback: float = None) -> EigenResult:
-    """The m pairs of the pencil nearest `sigma`, ordered by `key(vals)`.
+def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
+                        seed: int, key) -> EigenResult:
+    """The m pairs of the pencil nearest the shift of the first of `runs`
+    whose certificate holds, ordered by `key(vals)`.
 
-    With a `fallback` shift, the run at `sigma` must be certified by an
-    inertia count and is otherwise redone at `fallback`.  Each pair is
+    `runs` are (shift, count) requests for `_arpack_near`; the last one is
+    uncertified, so it answers if no earlier one does.  Each pair is
     certified by its residual ||H v - lambda M v|| / ||M v|| <= tol.
     """
     n = op.dim
@@ -153,12 +213,13 @@ def _shift_invert_pairs(op: AssembledOperator, sigma: float, m: int,
     d = 1.0 / np.sqrt(op.M)
     D = sp.diags(d)
     Hs = (D @ op.H @ D).tocsc()
-    vals, vecs, solves = _arpack_near(Hs, sigma, m, tol, seed,
-                                      certify=fallback is not None)
-    if vals is None:
-        sigma = fallback
-        vals, vecs, more = _arpack_near(Hs, sigma, m, tol, seed)
+    solves = 0
+    for sigma, count in runs:
+        vals, vecs, more, count_shift = _arpack_near(Hs, sigma, m, tol, seed,
+                                                     count=count)
         solves += more
+        if vals is not None:
+            break
     del Hs  # not needed by the back-transform
     order = np.argsort(key(vals))[:m]
     vals = np.asarray(vals[order], dtype=float)
@@ -173,23 +234,30 @@ def _shift_invert_pairs(op: AssembledOperator, sigma: float, m: int,
                        residuals=res,
                        iterations=solves,
                        converged=res <= tol,
-                       shift=float(sigma))
+                       shift=float(sigma),
+                       count_shift=count_shift)
 
 
 def smallest_eigenpairs(op: AssembledOperator, m: int, tol: float = 1e-10,
                         seed: int = 0) -> EigenResult:
     """The m algebraically smallest eigenpairs of H v = lambda M v.
 
-    The shift sits just below the operator's `bottom` estimate when an
-    inertia count certifies that no eigenvalue lies below it, and at its
-    `floor` min(0, min V), a lower bound of the spectrum, otherwise; either
-    way the eigenvalues nearest the shift are the smallest.
+    The shift sits just below the operator's `bottom` estimate.  The small
+    request there is kept when a count above lambda_m certifies it, the full
+    request when a count at the shift certifies that no eigenvalue lies below
+    it; otherwise the full request runs at the `floor` min(0, min V), a lower
+    bound of the spectrum.  Either way the eigenvalues nearest the shift are
+    the smallest.
     """
     if tol < 1e-13:
         raise DomainError("tol below 1e-13 is not resolvable in double precision")
     sigma = op.floor + _BELOW_BOTTOM * (op.bottom - op.floor)
-    return _shift_invert_pairs(op, sigma, m, tol, seed, key=lambda v: v,
-                               fallback=op.floor if sigma > op.floor else None)
+    # the small request only where the basis floor sets the full one's ncv
+    runs = ([(sigma, "above")]
+            if 2 * (m + _CLUSTER_MARGIN) + 20 < _NCV_FLOOR else [])
+    runs += ([(sigma, "sigma"), (op.floor, None)] if sigma > op.floor
+             else [(sigma, None)])
+    return _shift_invert_pairs(op, runs, m, tol, seed, key=lambda v: v)
 
 
 def eigenpairs_near(op: AssembledOperator, target: float, m: int,
@@ -200,7 +268,7 @@ def eigenpairs_near(op: AssembledOperator, target: float, m: int,
     (e.g. a higher Landau cluster) without computing everything below it.
     Results are sorted by distance to the target.
     """
-    return _shift_invert_pairs(op, target, m, tol, seed,
+    return _shift_invert_pairs(op, [(target, None)], m, tol, seed,
                                key=lambda v: np.abs(v - target))
 
 

@@ -12,6 +12,7 @@ import contextlib
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,14 @@ class SweepConfig:
         object.__setattr__(self, "domain", dom)
         if not (isinstance(self.richardson, bool) and isinstance(self.quasimode, bool)):
             raise ConfigError("richardson and quasimode must be true or false")
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.m, self.n_max, self.seed)):
+            raise ConfigError("m, grid n_max and seed must be integers")
+        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol)
+                and self.tol > 0):
+            raise ConfigError("tol must be a finite number > 0")
+        if not isinstance(self.grid_c, numbers.Real):
+            raise ConfigError("grid c must be a number")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
         if self.grid_c <= 0 or self.n_max < 32:

@@ -144,40 +144,66 @@ class TestCertifiedShift:
         assert es._count_below(es._factor(A, 0.0, inertia=True)) is None
 
     def test_standard_well_uses_certified_shift(self):
+        # the small request answers, certified by the count above lambda_6:
+        # 42 solves where the full request's basis of 80 takes 81
         op = std_operator(40)
         assert op.floor == 0.0 and 0.1 <= op.bottom < 0.101  # h * min b
         res = smallest_eigenpairs(op, 6, tol=1e-10)
         assert op.floor < res.shift < op.bottom
+        assert res.iterations <= 50
+        assert res.count_shift > res.eigenvalues[-1]
         assert np.all(res.converged)
         np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 6),
                                    rtol=1e-12, atol=0)
 
     def test_count_follows_the_krylov_loop(self, monkeypatch):
-        # reading lu.U caches copies of both factors: not during the loop
-        order = []
-        real_eigsh, real_count = spla.eigsh, es._count_below
+        # reading lu.U caches copies of both factors: never during a Krylov
+        # loop, and on the small request never on its Krylov factor; with a
+        # pair missing from the small request, the full one counts at sigma
+        events, made, drop = [], [], []
+        real_eigsh, real_count, real_factor = (spla.eigsh, es._count_below,
+                                               es._factor)
+
+        def factor(Hs, sigma, inertia):
+            made.append((real_factor(Hs, sigma, inertia), sigma))
+            return made[-1][0]
 
         def eigsh(*args, **kwargs):
-            order.append("eigsh")
-            return real_eigsh(*args, **kwargs)
+            events.append("loop")
+            vals, vecs = real_eigsh(*args, **kwargs)
+            events.append("end")
+            if drop and kwargs["ncv"] == 2 * kwargs["k"] + 1:
+                return vals[1:], vecs[:, 1:]  # the small request misses one
+            return vals, vecs
 
         def count(lu):
-            order.append("count")
+            events.append(next(s for f, s in made if f is lu))
             return real_count(lu)
+        monkeypatch.setattr(es, "_factor", factor)
         monkeypatch.setattr(spla, "eigsh", eigsh)
         monkeypatch.setattr(es, "_count_below", count)
-        smallest_eigenpairs(std_operator(40), 4, tol=1e-10)
-        assert order == ["eigsh", "count"]
+        op = std_operator(40)
+        res = smallest_eigenpairs(op, 4, tol=1e-10)
+        tau = res.count_shift
+        assert tau > res.eigenvalues[-1] > res.shift
+        assert events == ["loop", "end", tau]
+
+        events.clear()
+        drop.append(True)
+        res = smallest_eigenpairs(op, 4, tol=1e-10)
+        assert res.count_shift == res.shift
+        assert events[:2] + events[3:] == ["loop", "end"] * 2 + [res.shift]
+        assert events[2] > res.eigenvalues[3]  # the rejected count above
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        """(certify, discarded, solves) of every ARPACK run."""
+        """(count, discarded, solves) of every ARPACK run."""
         log = []
         real = es._arpack_near
 
         def spy(*args, **kwargs):
             out = real(*args, **kwargs)
-            log.append((kwargs.get("certify", False), out[0] is None, out[2]))
+            log.append((kwargs["count"], out[0] is None, out[2]))
             return out
         monkeypatch.setattr(es, "_arpack_near", spy)
         return log
@@ -191,9 +217,11 @@ class TestCertifiedShift:
         assert op.bottom == pytest.approx(0.1)
         assert dense_reference(op, 1)[0] < 0.95 * op.bottom
         res = smallest_eigenpairs(op, 6, tol=1e-10)
-        assert res.shift == op.floor
-        assert [r[:2] for r in runs] == [(True, True), (False, False)]
-        assert runs[0][2] > 0 and res.iterations == runs[0][2] + runs[1][2]
+        assert res.shift == op.floor and res.count_shift is None
+        assert [r[:2] for r in runs] == [("above", True), ("sigma", True),
+                                         (None, False)]
+        assert runs[0][2] > 0 and runs[1][2] > 0
+        assert res.iterations == sum(r[2] for r in runs)
         assert np.all(res.converged)
         np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 6),
                                    rtol=1e-12, atol=0)
@@ -208,7 +236,9 @@ class TestCertifiedShift:
         assert dense_reference(op, 1)[0] < 0.95 * 0.05
         res = smallest_eigenpairs(op, 20, tol=1e-10)
         assert res.shift == op.floor
-        assert [r[:2] for r in runs] == [(False, False)]
+        # the small request runs at the floor, certified above lambda_20
+        assert [r[:2] for r in runs] == [("above", False)]
+        assert res.count_shift > res.eigenvalues[-1]
         np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 20),
                                    rtol=1e-12, atol=0)
 
@@ -222,14 +252,19 @@ class TestCertifiedShift:
         monkeypatch.setattr(es, "_factor", singular)
         op = std_operator(40)
         res = smallest_eigenpairs(op, 4, tol=1e-10)
-        assert res.shift == op.floor
-        assert [r for r in runs] == [(True, True, 0), (False, False, res.iterations)]
+        assert res.shift == op.floor and res.count_shift is None
+        # the small request's pivoted factor stands, but its count cannot
+        assert [r[:2] for r in runs] == [("above", True), ("sigma", True),
+                                         (None, False)]
+        assert runs[0][2] > 0 and runs[1][2] == 0
+        assert res.iterations == runs[0][2] + runs[2][2]
         np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 4),
                                    rtol=1e-12, atol=0)
 
     def test_unconverged_uncertified_attempt_falls_back(self, runs, monkeypatch):
-        # ARPACK stops early at a shift above the spectrum: the nonzero
-        # count discards the partial pairs and the floor run answers
+        # ARPACK stops early at a shift above the spectrum, in the small and
+        # the full request: the stall discards the small one, the nonzero
+        # count the full one's partial pairs, and the floor run answers
         op = dataclasses.replace(std_operator(40), bottom=0.3)
         real = spla.eigsh
         calls = []
@@ -237,16 +272,74 @@ class TestCertifiedShift:
         def eigsh(*args, **kwargs):
             calls.append(kwargs["sigma"])
             vals, vecs = real(*args, **kwargs)
-            if len(calls) == 1:
+            if kwargs["sigma"] != 0.0:
                 raise spla.ArpackNoConvergence("stopped early", vals[:1],
                                                vecs[:, :1])
             return vals, vecs
         monkeypatch.setattr(spla, "eigsh", eigsh)
         res = smallest_eigenpairs(op, 4, tol=1e-10)
-        assert calls == [0.95 * 0.3, 0.0] and res.shift == 0.0
-        assert [r[:2] for r in runs] == [(True, True), (False, False)]
+        assert calls == [0.95 * 0.3, 0.95 * 0.3, 0.0] and res.shift == 0.0
+        assert res.count_shift is None
+        assert [r[:2] for r in runs] == [("above", True), ("sigma", True),
+                                         (None, False)]
+        assert res.iterations == sum(r[2] for r in runs)
         np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 4),
                                    rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dropped", [0, 5])
+    def test_count_rejects_a_missed_pair(self, runs, monkeypatch, dropped):
+        # the small request loses one of its 8 pairs, below or at lambda_6;
+        # every residual still passes, only the count above lambda_6 sees it
+        real = spla.eigsh
+
+        def eigsh(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            if kwargs["ncv"] == 2 * kwargs["k"] + 1:
+                i = np.argsort(vals)[dropped]
+                keep = np.arange(vals.size) != i
+                return vals[keep], vecs[:, keep]
+            return vals, vecs
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        op = std_operator(40)
+        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        assert [r[:2] for r in runs] == [("above", True), ("sigma", False)]
+        assert res.count_shift == res.shift
+        assert res.iterations == runs[0][2] + runs[1][2]
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 6),
+                                   rtol=0, atol=1e-12)
+
+
+class TestDegenerateClusters:
+    """The 3x3 tiling of the standard well: nine-fold clusters, where a small
+    Krylov basis can silently drop cluster members.  Without the count above
+    lambda_m, the h = 0.05 requests return a member of the second cluster in
+    place of one of the first (7.5% off) for m = 4, 6 and 12."""
+
+    REQUESTS = {(0.1, 96): (8, 10, 14), (0.05, 144): (4, 6, 12)}
+
+    @pytest.fixture(scope="class", params=list(REQUESTS),
+                    ids=lambda hn: f"h{hn[0]}-n{hn[1]}")
+    def tiling(self, request):
+        h, n = request.param
+        tiled = TiledField(standard_well(), 3)
+        op = assemble(tiled, tiled.gauge(), Grid(tiled.domain, n, n), h)
+        ref = smallest_eigenpairs(op, 40, tol=1e-10).eigenvalues
+        return op, ref, self.REQUESTS[request.param]
+
+    def test_reference_is_complete(self, tiling):
+        op, ref, _ = tiling
+        Hs = symmetrized(op)
+        for b in (9, 18, 27, 36):
+            tau = 0.5 * (ref[b - 1] + ref[b])
+            assert es._count_below(es._factor(Hs, tau, inertia=True)) == b
+
+    def test_requests_match_reference(self, tiling):
+        op, ref, requests = tiling
+        for m in requests:
+            res = smallest_eigenpairs(op, m, tol=1e-10)
+            assert np.all(res.converged)
+            np.testing.assert_allclose(res.eigenvalues, ref[:m], rtol=1e-9,
+                                       atol=0)
 
 
 class TestEigenpairsNear:
@@ -274,14 +367,15 @@ class TestPartialConvergence:
 
     @pytest.fixture
     def stop_early(self, monkeypatch):
-        """Make eigsh raise after converging only its first `kept` pairs."""
+        """Make eigsh raise after converging only its first `kept` pairs;
+        the values kept by its last call are returned."""
         real = spla.eigsh
         kept_vals = []
 
         def install(kept):
             def eigsh(*args, **kwargs):
                 vals, vecs = real(*args, **kwargs)
-                kept_vals.extend(vals[:kept])
+                kept_vals[:] = vals[:kept]
                 raise spla.ArpackNoConvergence("stopped early", vals[:kept],
                                                vecs[:, :kept])
             monkeypatch.setattr(spla, "eigsh", eigsh)

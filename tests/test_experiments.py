@@ -64,10 +64,22 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("bad", [{"h_list": ("a",)},
                                      {"h_list": (0.1,), "n_fixed": "x"},
-                                     {"h_list": (0.1,), "domain": ("a", 2, -2, 2)}],
-                             ids=["h_list", "n_fixed", "domain"])
+                                     {"h_list": (0.1,), "domain": ("a", 2, -2, 2)},
+                                     {"h_list": (0.1,), "m": "6"},
+                                     {"h_list": (0.1,), "m": 2.5},
+                                     {"h_list": (0.1,), "tol": "x"},
+                                     {"h_list": (0.1,), "tol": -1.0},
+                                     {"h_list": (0.1,), "tol": float("nan")},
+                                     {"h_list": (0.1,), "grid_c": "a"},
+                                     {"h_list": (0.1,), "n_max": "big"},
+                                     {"h_list": (0.1,), "seed": "s"}],
+                             ids=["h_list", "n_fixed", "domain", "m", "m-fraction",
+                                  "tol", "tol-negative", "tol-nan", "grid_c",
+                                  "n_max", "seed"])
     def test_non_numeric_entries_are_config_errors(self, bad):
-        # constructed directly, not only through from_dict
+        # constructed directly, not only through from_dict; a number out of
+        # its range (a fractional m, a tol that is not finite and positive)
+        # is rejected with the non-numbers
         with pytest.raises(ConfigError):
             SweepConfig(b="1", **bad)
 
