@@ -19,9 +19,10 @@ import numpy as np
 from .discretize import Grid, assemble, dump_matrix_market
 from .eigensolve import smallest_eigenpairs
 from .errors import ConfigError, DomainError, ParseError
-from .experiments import (STANDARD_FIELD, SweepConfig, fit_expansion,
-                          grid_size, run_gap_experiment, run_sweep,
-                          standard_well, write_records, write_table)
+from .experiments import (STANDARD_FIELD, SweepConfig, bounds, fit_expansion,
+                          grid_size, integer, number, number_list,
+                          record_table, run_gap_experiment, run_sweep,
+                          section, write_table)
 from .fieldgeom import FieldSetup, Rectangle, gauge_from_field, well_data
 from .hermite import hermite_norm_sq, hermite_poly, moment_table
 from .quasimode import (QuasimodeSpec, assemble_T2, build_leading_quasimode,
@@ -48,41 +49,9 @@ def _load_config(path):
 
 
 def _setup_from(doc):
-    fld = doc.get("field")
-    if fld is None:
-        return standard_well()
-    try:
-        return FieldSetup(fld["b"], fld.get("phi"),
-                          Rectangle(*fld.get("domain", STANDARD_FIELD["domain"])))
-    except (KeyError, TypeError) as err:
-        raise ConfigError(f"invalid field configuration: {err}") from err
-
-
-def _section(doc, name, **spec):
-    """Values of config section `name`, in the order of `spec`.
-
-    `spec` maps each key to (convert, default); a value that `convert`
-    rejects, or a section that is not an object, raises ConfigError.  A
-    default of None is returned unconverted.
-    """
-    sec = doc.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section '{name}' must be a JSON object")
-    values = []
-    for key, (convert, default) in spec.items():
-        value = sec.get(key, default)
-        try:
-            values.append(None if value is None else convert(value))
-        except (TypeError, ValueError, IndexError) as err:
-            raise ConfigError(f"invalid {name}.{key}: {value!r}") from err
-    return values
-
-
-def _first(values):
-    """First entry of a list of numbers, as a float."""
-    if not isinstance(values, list):
-        raise TypeError("expected a list")
-    return float(values[0])
+    domain, = section(doc, "field", domain=(bounds, STANDARD_FIELD["domain"]))
+    return FieldSetup(doc["field"].get("b"), doc["field"].get("phi"),
+                      Rectangle(*domain))
 
 
 def _operator(args, doc, h, n):
@@ -100,7 +69,9 @@ def _operator(args, doc, h, n):
 
 
 def _cmd_oracle(args, doc):
-    h, = _section(doc, "sweep", h=(_first, [0.1]))
+    hs, = section(doc, "sweep", h=(number_list, SweepConfig.h_list))
+    if not hs:
+        raise ConfigError("sweep.h is empty; oracle takes its h from sweep.h[0]")
     well = well_data(_setup_from(doc))
     rows = [("well", "b0", "", float(well.b0)),
             ("well", "alpha1", "", float(well.alpha1)),
@@ -114,33 +85,27 @@ def _cmd_oracle(args, doc):
     K = np.diag([2 * well.alpha1, 2 * well.beta1])
     for lam, n1, n2 in flat_model_spectrum(FlatModelParams(well.b0, K), 6):
         rows.append(("flat_model", n1, n2, lam))
-    for lam, n1, n2 in p_flat_spectrum(h, well.b0,
+    for lam, n1, n2 in p_flat_spectrum(hs[0], well.b0,
                                        np.diag([well.alpha1, well.beta1]), 6):
         rows.append(("p_flat", n1, n2, lam))
-    write_table(["table", "i", "k", "value"], rows, args.out or sys.stdout,
-                args.format)
-    return 0
+    return ["table", "i", "k", "value"], rows, 0
 
 
 def _cmd_solve(args, doc):
-    h, n, m, tol = _section(doc, "solve", h=(float, 0.1), n=(int, 0),
-                            m=(int, 6), tol=(float, 1e-8))
+    h, n, m, tol = section(doc, "solve", h=(number, 0.1), n=(integer, 0),
+                           m=(integer, 6), tol=(number, 1e-8))
     well, gauge, grid, op = _operator(args, doc, h, n)
-    res = smallest_eigenpairs(op, m, tol=tol, seed=args.seed)
+    res = smallest_eigenpairs(op, m, tol=tol, seed=doc["seed"])
     rows = [(j, float(res.eigenvalues[j]),
              h * well.b0 + h * h * mu_jk2(well, j, 0),
              float(res.residuals[j]), bool(res.converged[j]))
             for j in range(m)]
-    write_table(["j", "lambda", "lambda_predicted", "residual", "converged"],
-                rows, args.out or sys.stdout, args.format)
-    return 0
+    return ["j", "lambda", "lambda_predicted", "residual", "converged"], rows, 0
 
 
 def _cmd_sweep(args, doc):
-    cfg = SweepConfig.from_dict({"field": STANDARD_FIELD, "seed": args.seed,
-                                 **doc})
+    cfg = SweepConfig.from_dict(doc)
     records = run_sweep(cfg)
-    write_records(records, args.out or sys.stdout, args.format)
     for j in range(cfg.m):
         try:
             fit = fit_expansion(records, j)
@@ -151,12 +116,12 @@ def _cmd_sweep(args, doc):
               f"c2={fit.c2:.6g}+-{fit.c2_err:.2g} "
               f"remainder_exponent={fit.remainder_exponent:.3g}",
               file=sys.stderr)
-    return 0
+    return *record_table(records), 0
 
 
 def _cmd_quasimode(args, doc):
-    h, j, k, n = _section(doc, "quasimode", h=(float, 0.05), j=(int, 0),
-                          k=(int, 0), n=(int, 0))
+    h, j, k, n = section(doc, "quasimode", h=(number, 0.05), j=(integer, 0),
+                         k=(integer, 0), n=(integer, 0))
     well, gauge, grid, op = _operator(args, doc, h, n)
     spec = QuasimodeSpec(well, j, k, h,
                          cutoff_radius=clipped_cutoff(well, h, grid.domain))
@@ -164,27 +129,23 @@ def _cmd_quasimode(args, doc):
     r = residual(op, phi, (2 * k + 1) * h * well.b0)
     print(f"residual at mu=(2k+1)*h*b0: {r:.6e}", file=sys.stderr)
     X, Y = grid.meshgrid()
-    rows = list(zip(X.reshape(-1), Y.reshape(-1), phi.real, phi.imag))
-    write_table(["x", "y", "re", "im"], rows, args.out or sys.stdout,
-                args.format)
-    return 0
+    return ["x", "y", "re", "im"], list(zip(X.reshape(-1), Y.reshape(-1),
+                                            phi.real, phi.imag)), 0
 
 
 def _cmd_gaps(args, doc):
-    p, h, k, N, n, m, tol = _section(
-        doc, "gaps", tiling=(int, 3), h=(float, 0.05), k=(int, 0), N=(int, 2),
-        n=(int, 384), m=(int, None), tol=(float, 1e-8))
+    p, h, k, N, n, m, tol = section(
+        doc, "gaps", tiling=(integer, 3), h=(number, 0.05), k=(integer, 0),
+        N=(integer, 2), n=(integer, 384), m=(integer, None), tol=(number, 1e-8))
     report = run_gap_experiment(base=_setup_from(doc), p=p, h=h, k=k, N=N,
-                                n=n, m=m, tol=tol, seed=args.seed)
+                                n=n, m=m, tol=tol, seed=doc["seed"])
     rows = [("window", report.window[0], report.window[1], "")]
     for lo, hi, center, width in report.clusters:
         rows.append(("cluster", lo, hi, width))
     for lo, hi in report.gaps:
         rows.append(("gap", lo, hi, hi - lo))
-    write_table(["kind", "lo", "hi", "extra"], rows, args.out or sys.stdout,
-                args.format)
     print(report.message, file=sys.stderr)
-    return 0 if report.passed else 1
+    return ["kind", "lo", "hi", "extra"], rows, 0 if report.passed else 1
 
 
 def _cmd_check_identities(args, doc):
@@ -211,13 +172,10 @@ def _cmd_check_identities(args, doc):
         for k in range(3):
             d = np.abs(t2.fiber_block(k) - t2.oscillator_matrix(k)).max()
             check(f"T2_fiber k={k} R0={R0}", d <= 1e-8)
-    write_table(["check", "status"], checks, args.out or sys.stdout,
-                args.format)
     failures = sum(status == "FAIL" for _, status in checks)
     if failures:
         print(f"{failures} identity checks failed", file=sys.stderr)
-        return 1
-    return 0
+    return ["check", "status"], checks, 1 if failures else 0
 
 
 _COMMANDS = {
@@ -240,7 +198,7 @@ def _build_parser():
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--dump-matrix", help="write the assembled matrix "
                                          "(Matrix Market) to this path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default: the config's seed, else 0")
     return p
 
 
@@ -260,14 +218,14 @@ def main(argv=None) -> int:
     try:
         _check_writable(args.out)
         _check_writable(args.dump_matrix)
-        doc = _load_config(args.config)
-        return _COMMANDS[args.command](args, doc)
-    except (ConfigError, ParseError, OSError) as err:
+        doc = {"field": STANDARD_FIELD, "seed": 0, **_load_config(args.config)}
+        doc["seed"] = integer(doc["seed"] if args.seed is None else args.seed, "seed")
+        header, rows, code = _COMMANDS[args.command](args, doc)
+        write_table(header, rows, args.out or sys.stdout, args.format)
+        return code
+    except (ConfigError, ParseError, OSError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(err, DomainError) else 2
 
 
 if __name__ == "__main__":

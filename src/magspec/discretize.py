@@ -103,7 +103,7 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
     spectrum, and floor + h * max(min b, 0) its `bottom` estimate (the floor
     on an aliased grid).
     """
-    if h <= 0:
+    if not h > 0:
         raise DomainError(f"h must be positive, got {h}")
     dx, dy = grid.dx, grid.dy
     if h / dx ** 2 > 1e150 or h / dy ** 2 > 1e150:

@@ -207,6 +207,8 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     uncertified, so it answers if no earlier one does.  Each pair is
     certified by its residual ||H v - lambda M v|| / ||M v|| <= tol.
     """
+    if not tol >= 1e-13:  # also NaN, which would never converge
+        raise DomainError(f"tol must be >= 1e-13 in double precision, got {tol}")
     n = op.dim
     if m < 1 or m > n // 4:
         raise DomainError(f"m must be in [1, dim/4], got {m} for dim {n}")
@@ -249,8 +251,6 @@ def smallest_eigenpairs(op: AssembledOperator, m: int, tol: float = 1e-10,
     bound of the spectrum.  Either way the eigenvalues nearest the shift are
     the smallest.
     """
-    if tol < 1e-13:
-        raise DomainError("tol below 1e-13 is not resolvable in double precision")
     sigma = op.floor + _BELOW_BOTTOM * (op.bottom - op.floor)
     # the small request only where the basis floor sets the full one's ncv
     runs = ([(sigma, "above")]

@@ -12,7 +12,6 @@ import contextlib
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +65,75 @@ def curved_well() -> FieldSetup:
 
 
 # ---------------------------------------------------------------------------
+# configuration values: one check per type, shared by SweepConfig and the CLI
+
+def number(value, name: str) -> float:
+    """`value` as a float; it must be a finite JSON number."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond floats
+        pass
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def integer(value, name: str) -> int:
+    """`value` as an int; it must be a whole number (6 or 6.0, not 6.5)."""
+    if number(value, name) % 1 != 0:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def number_list(value, name: str) -> tuple:
+    """`value` as a tuple of floats; it must be a list of finite numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(number(v, f"{name} entry") for v in value)
+
+
+def bounds(value, name: str) -> tuple:
+    """`value` as a domain (x_min, x_max, y_min, y_max) of four numbers."""
+    box = number_list(value, name)
+    if len(box) != 4:
+        raise ConfigError(f"{name} must be four numbers, got {value!r}")
+    return box
+
+
+def flag(value, name: str) -> bool:
+    """`value` itself; it must be true or false."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section '{name}' must be a JSON object")
+    return value
+
+
+def section(doc: dict, name: str, **spec) -> list:
+    """Values of config section `name` in the order of `spec`, which maps each
+    key to (check, default): a given value must pass check(value, "name.key")."""
+    sec = _object(doc.get(name, {}), name)
+    return [check(sec[key], f"{name}.{key}") if key in sec else default
+            for key, (check, default) in spec.items()]
+
+
+# ---------------------------------------------------------------------------
 # sweep configuration and records
+
+# the type check of each SweepConfig field that is not an expression
+_SWEEP_CHECKS = {"h_list": number_list, "domain": bounds, "m": integer,
+                 "tol": number, "grid_c": number, "n_max": integer,
+                 "n_fixed": lambda v, name: v if v is None else integer(v, name),
+                 "richardson": flag, "quasimode": flag, "seed": integer}
+
 
 @dataclass(frozen=True)
 class SweepConfig:
     b: str
-    h_list: tuple
+    h_list: tuple = (0.1, 0.08, 0.06, 0.05)
     phi: str = None
     domain: tuple = STANDARD_FIELD["domain"]
     m: int = 6
@@ -84,32 +146,14 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            hs = tuple(float(h) for h in self.h_list)
-            dom = tuple(float(v) for v in self.domain)
-            if self.n_fixed is not None:
-                object.__setattr__(self, "n_fixed", int(self.n_fixed))
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"h_list, domain and grid n must be numbers: "
-                              f"{err}") from err
-        if any(h <= 0 for h in hs):
+        for name, check in _SWEEP_CHECKS.items():
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        if any(h <= 0 for h in self.h_list):
             raise ConfigError("h_list entries must be positive")
-        if any(a <= b for a, b in zip(hs, hs[1:])):
+        if any(a <= b for a, b in zip(self.h_list, self.h_list[1:])):
             raise ConfigError("h_list must be strictly descending")
-        object.__setattr__(self, "h_list", hs)
-        if len(dom) != 4:
-            raise ConfigError("domain must be four numbers")
-        object.__setattr__(self, "domain", dom)
-        if not (isinstance(self.richardson, bool) and isinstance(self.quasimode, bool)):
-            raise ConfigError("richardson and quasimode must be true or false")
-        if not all(isinstance(v, numbers.Integral)
-                   for v in (self.m, self.n_max, self.seed)):
-            raise ConfigError("m, grid n_max and seed must be integers")
-        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol)
-                and self.tol > 0):
-            raise ConfigError("tol must be a finite number > 0")
-        if not isinstance(self.grid_c, numbers.Real):
-            raise ConfigError("grid c must be a number")
+        if not self.tol > 0:
+            raise ConfigError("tol must be > 0")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
         if self.grid_c <= 0 or self.n_max < 32:
@@ -117,26 +161,19 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
-        try:
-            fld = doc["field"]
-            sw = doc.get("sweep", {})
-            grid = sw.get("grid", {})
-            return cls(
-                b=fld["b"],
-                phi=fld.get("phi"),
-                domain=fld.get("domain", STANDARD_FIELD["domain"]),
-                h_list=tuple(sw.get("h", (0.1, 0.08, 0.06, 0.05))),
-                m=int(sw.get("m", 6)),
-                tol=float(sw.get("tol", 1e-8)),
-                grid_c=float(grid.get("c", 0.5)),
-                n_max=int(grid.get("n_max", 1024)),
-                n_fixed=grid.get("n"),
-                richardson=sw.get("richardson", True),
-                quasimode=sw.get("quasimode", True),
-                seed=int(doc.get("seed", 0)),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"invalid sweep configuration: {err}") from err
+        """Config from the "field" section, the "sweep" section and its "grid"
+        object, and the top-level "seed"; a key left out keeps its default."""
+        fld = _object(doc.get("field"), "field")
+        if "b" not in fld:
+            raise ConfigError("config section 'field' has no expression b")
+        sweep = _object(doc.get("sweep", {}), "sweep")
+        grid = _object(sweep.get("grid", {}), "sweep.grid")
+        keys = [(fld, "b", "b"), (fld, "phi", "phi"), (fld, "domain", "domain"),
+                (sweep, "h", "h_list"), (sweep, "m", "m"), (sweep, "tol", "tol"),
+                (sweep, "richardson", "richardson"), (sweep, "quasimode", "quasimode"),
+                (grid, "c", "grid_c"), (grid, "n_max", "n_max"), (grid, "n", "n_fixed"),
+                (doc, "seed", "seed")]
+        return cls(**{name: sec[key] for sec, key, name in keys if key in sec})
 
 
 @dataclass
@@ -534,8 +571,11 @@ def write_table(header, rows, out, fmt: str = "csv") -> None:
             writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def record_table(records) -> tuple:
+    """(header, rows) of sweep records for write_table, one row per record."""
+    return _RECORD_COLUMNS, [[getattr(r, c) for c in _RECORD_COLUMNS] for r in records]
+
+
 def write_records(records, out, fmt: str = "csv") -> None:
-    """Write sweep records through write_table, one row per record."""
-    write_table(_RECORD_COLUMNS,
-                [[getattr(r, c) for c in _RECORD_COLUMNS] for r in records],
-                out, fmt)
+    """Write sweep records through write_table."""
+    write_table(*record_table(records), out, fmt)

@@ -61,7 +61,7 @@ class QuasimodeSpec:
     cutoff_radius: float = None
 
     def __post_init__(self):
-        if self.h <= 0:
+        if not self.h > 0:
             raise DomainError("h must be positive")
         if self.j < 0 or self.k < 0:
             raise DomainError("level indices must be non-negative")

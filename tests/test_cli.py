@@ -111,6 +111,17 @@ class TestErrorHandling:
         ("sweep", {"field": {"b": "1 + (x"}}, 2),
         ("sweep", {"field": {"b": "1 + x^2 + y^2", "domain": [-2, 2, -2]}}, 2),
         ("sweep", {"field": {"b": "1 + x^2 + y^2", "domain": ["a", "b", "c", "d"]}}, 2),
+        ("solve", {"solve": {"m": 2.7}}, 2),
+        ("solve", {"solve": {"m": True}}, 2),
+        ("solve", {"solve": {"tol": float("nan")}}, 2),
+        ("solve", {"solve": {"h": "0.1"}}, 2),
+        ("gaps", {"gaps": {"tiling": 3.9}}, 2),
+        ("sweep", {"sweep": {"m": 2.7}}, 2),
+        ("sweep", {"field": {"b": "1 + x^2 + y^2",
+                             "domain": ["-2", "2", "-2", "2"]}}, 2),
+        ("sweep", {"sweep": {"h": [float("nan")]}}, 2),
+        ("oracle", {"sweep": {"h": []}}, 2),
+        ("solve", {"solve": {"m": 10 ** 400}}, 2),
     ])
     def test_bad_section_values_exit_with_message(self, capsys, tmp_path,
                                                   command, doc, code):
@@ -118,6 +129,30 @@ class TestErrorHandling:
         got, out, err = run(capsys, command, "--config", cfg)
         assert got == code
         assert out == "" and err.startswith("error:")
+
+    def test_seed_flag_wins_over_config_seed(self, capsys, tmp_path,
+                                             monkeypatch):
+        seeds = []
+        solve = cli.smallest_eigenpairs
+
+        def spy(op, m, **kwargs):
+            seeds.append(kwargs["seed"])
+            return solve(op, m, **kwargs)
+        monkeypatch.setattr(cli, "smallest_eigenpairs", spy)
+        monkeypatch.setattr(experiments, "smallest_eigenpairs", spy)
+        sec = {"solve": {"h": 0.2, "n": 32, "m": 2},
+               "sweep": {"h": [0.2], "m": 1, "quasimode": False,
+                         "grid": {"n": 32}}}
+        plain = write_config(tmp_path, sec, "plain.json")
+        seeded = write_config(tmp_path, {**sec, "seed": 5}, "seeded.json")
+        _, by_flag, _ = run(capsys, "solve", "--config", plain, "--seed", "5")
+        _, by_config, _ = run(capsys, "solve", "--config", seeded)
+        run(capsys, "solve", "--config", seeded, "--seed", "7")
+        run(capsys, "solve", "--config", plain)
+        run(capsys, "sweep", "--config", seeded, "--seed", "7")
+        run(capsys, "sweep", "--config", seeded)
+        assert by_config == by_flag
+        assert seeds == [5, 5, 7, 0, 7, 5]
 
     @pytest.mark.filterwarnings("ignore:flux per plaquette")
     def test_unconverged_gap_solve_exits_1(self, capsys, tmp_path, monkeypatch):

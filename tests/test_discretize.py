@@ -141,6 +141,8 @@ class TestAssemble:
         s = FieldSetup("1", None, Rectangle(-1.0, 1.0, -1.0, 1.0))
         with pytest.raises(DomainError):
             assemble(s, zero_gauge(), Grid(s.domain, 8, 8), 0.0)
+        with pytest.raises(DomainError):
+            assemble(s, zero_gauge(), Grid(s.domain, 8, 8), float("nan"))
 
 
 class TestApply:

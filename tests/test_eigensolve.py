@@ -121,6 +121,16 @@ class TestSmallestEigenpairs:
         with pytest.raises(DomainError):
             smallest_eigenpairs(op, 2, tol=1e-14)
 
+    @pytest.mark.filterwarnings("ignore:flux per plaquette")
+    @pytest.mark.parametrize("solve", [smallest_eigenpairs,
+                                       lambda op, m, tol: eigenpairs_near(
+                                           op, 0.3, m, tol=tol)],
+                             ids=["smallest", "near"])
+    def test_nan_tol_is_domain_error(self, solve):
+        # a NaN tolerance never converges: both entry points refuse it
+        with pytest.raises(DomainError, match="tol"):
+            solve(std_operator(10), 2, tol=float("nan"))
+
 
 class TestCertifiedShift:
     """The smallest pairs are sought just below the bottom estimate; an

@@ -58,6 +58,14 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(b="1", h_list=(0.1,), n_max=8)
 
+    def test_from_dict_keeps_defaults_and_whole_floats(self):
+        # keys left out take the dataclass defaults; 6.0 is a whole number
+        cfg = SweepConfig.from_dict({"field": {"b": "1 + x^2 + y^2"},
+                                     "sweep": {"m": 4.0}})
+        assert cfg == SweepConfig(b="1 + x^2 + y^2", m=4)
+        assert isinstance(cfg.m, int)
+        assert cfg.h_list == (0.1, 0.08, 0.06, 0.05)
+
     def test_from_dict_missing_field(self):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"sweep": {}})
@@ -72,10 +80,16 @@ class TestSweepConfig:
                                      {"h_list": (0.1,), "tol": float("nan")},
                                      {"h_list": (0.1,), "grid_c": "a"},
                                      {"h_list": (0.1,), "n_max": "big"},
-                                     {"h_list": (0.1,), "seed": "s"}],
+                                     {"h_list": (0.1,), "seed": "s"},
+                                     {"h_list": (float("nan"),)},
+                                     {"h_list": (0.1,), "tol": float("inf")},
+                                     {"h_list": (0.1,), "m": True},
+                                     {"h_list": (0.1,),
+                                      "domain": ("-2", "2", "-2", "2")}],
                              ids=["h_list", "n_fixed", "domain", "m", "m-fraction",
                                   "tol", "tol-negative", "tol-nan", "grid_c",
-                                  "n_max", "seed"])
+                                  "n_max", "seed", "h_list-nan", "tol-inf",
+                                  "m-bool", "domain-strings"])
     def test_non_numeric_entries_are_config_errors(self, bad):
         # constructed directly, not only through from_dict; a number out of
         # its range (a fractional m, a tol that is not finite and positive)

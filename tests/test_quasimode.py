@@ -105,6 +105,11 @@ class TestConstruction:
         with pytest.raises(DomainError):
             clipped_cutoff(boundary_well, 0.1, setup.domain)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, float("nan")])
+    def test_h_must_be_positive(self, std, h):
+        with pytest.raises(DomainError, match="h must be positive"):
+            QuasimodeSpec(std[1], 0, 0, h, cutoff_radius=1.0)
+
 
 class TestResidual:
     def test_eigenvector_residual_at_its_eigenvalue(self, std):
