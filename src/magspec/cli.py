@@ -19,8 +19,8 @@ import numpy as np
 from .discretize import Grid, assemble, dump_matrix_market
 from .eigensolve import smallest_eigenpairs
 from .errors import ConfigError, DomainError, ParseError
-from .experiments import (STANDARD_FIELD, SweepConfig, bounds, fit_expansion,
-                          grid_size, integer, number, number_list,
+from .experiments import (STANDARD_FIELD, SweepConfig, bounds, check_keys,
+                          fit_expansion, grid_size, integer, number, number_list,
                           record_table, run_gap_experiment, run_sweep,
                           section, write_table)
 from .fieldgeom import FieldSetup, Rectangle, gauge_from_field, well_data
@@ -219,6 +219,7 @@ def main(argv=None) -> int:
         _check_writable(args.out)
         _check_writable(args.dump_matrix)
         doc = {"field": STANDARD_FIELD, "seed": 0, **_load_config(args.config)}
+        check_keys(doc)
         doc["seed"] = integer(doc["seed"] if args.seed is None else args.seed, "seed")
         header, rows, code = _COMMANDS[args.command](args, doc)
         write_table(header, rows, args.out or sys.stdout, args.format)

@@ -106,16 +106,42 @@ def flag(value, name: str) -> bool:
     return value
 
 
-def _object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section '{name}' must be a JSON object")
-    return value
+# every key a config file may hold, by section; "sweep.grid" is the object
+# "grid" inside "sweep", and "" is the top level
+CONFIG_KEYS = {"": ("field", "sweep", "solve", "quasimode", "gaps", "seed"),
+               "field": ("b", "phi", "domain"),
+               "sweep": ("h", "m", "tol", "richardson", "quasimode", "grid"),
+               "sweep.grid": ("c", "n_max", "n"),
+               "solve": ("h", "n", "m", "tol"),
+               "quasimode": ("h", "j", "k", "n"),
+               "gaps": ("tiling", "h", "k", "N", "n", "m", "tol")}
+
+
+def _at(doc: dict, path: str) -> dict:
+    """The object at the dotted section `path` of `doc`, {} when missing."""
+    parts = path.split(".") if path else []
+    for i, part in enumerate(parts):
+        doc = doc.get(part, {})
+        if not isinstance(doc, dict):
+            name = ".".join(parts[:i + 1])
+            raise ConfigError(f"config section '{name}' must be a JSON object")
+    return doc
+
+
+def check_keys(doc: dict) -> None:
+    """Reject a section that is not an object and a key that CONFIG_KEYS
+    does not define."""
+    for path, keys in CONFIG_KEYS.items():
+        unknown = sorted(set(_at(doc, path)) - set(keys))
+        if unknown:
+            name = f"{path}.{unknown[0]}" if path else unknown[0]
+            raise ConfigError(f"unknown config key {name}")
 
 
 def section(doc: dict, name: str, **spec) -> list:
     """Values of config section `name` in the order of `spec`, which maps each
     key to (check, default): a given value must pass check(value, "name.key")."""
-    sec = _object(doc.get(name, {}), name)
+    sec = _at(doc, name)
     return [check(sec[key], f"{name}.{key}") if key in sec else default
             for key, (check, default) in spec.items()]
 
@@ -123,11 +149,17 @@ def section(doc: dict, name: str, **spec) -> list:
 # ---------------------------------------------------------------------------
 # sweep configuration and records
 
-# the type check of each SweepConfig field that is not an expression
-_SWEEP_CHECKS = {"h_list": number_list, "domain": bounds, "m": integer,
-                 "tol": number, "grid_c": number, "n_max": integer,
-                 "n_fixed": lambda v, name: v if v is None else integer(v, name),
-                 "richardson": flag, "quasimode": flag, "seed": integer}
+# the config key and the type check of each SweepConfig field; b and phi are
+# expressions, checked when the field is built
+_SWEEP_KEYS = {
+    "b": ("field.b", None), "phi": ("field.phi", None),
+    "domain": ("field.domain", bounds),
+    "h_list": ("sweep.h", number_list), "m": ("sweep.m", integer),
+    "tol": ("sweep.tol", number), "richardson": ("sweep.richardson", flag),
+    "quasimode": ("sweep.quasimode", flag), "grid_c": ("sweep.grid.c", number),
+    "n_max": ("sweep.grid.n_max", integer),
+    "n_fixed": ("sweep.grid.n", lambda v, key: v if v is None else integer(v, key)),
+    "seed": ("seed", integer)}
 
 
 @dataclass(frozen=True)
@@ -146,34 +178,37 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, check in _SWEEP_CHECKS.items():
-            object.__setattr__(self, name, check(getattr(self, name), name))
+        for name, (key, check) in _SWEEP_KEYS.items():
+            if check is not None:
+                object.__setattr__(self, name, check(getattr(self, name), key))
         if any(h <= 0 for h in self.h_list):
-            raise ConfigError("h_list entries must be positive")
+            raise ConfigError("sweep.h entries must be positive")
         if any(a <= b for a, b in zip(self.h_list, self.h_list[1:])):
-            raise ConfigError("h_list must be strictly descending")
+            raise ConfigError("sweep.h must be strictly descending")
         if not self.tol > 0:
-            raise ConfigError("tol must be > 0")
+            raise ConfigError("sweep.tol must be > 0")
         if self.m < 1:
-            raise ConfigError("m must be at least 1")
-        if self.grid_c <= 0 or self.n_max < 32:
-            raise ConfigError("grid policy must satisfy c > 0, n_max >= 32")
+            raise ConfigError("sweep.m must be at least 1")
+        if self.grid_c <= 0:
+            raise ConfigError("sweep.grid.c must be > 0")
+        if self.n_max < 32:
+            raise ConfigError("sweep.grid.n_max must be at least 32")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
         """Config from the "field" section, the "sweep" section and its "grid"
-        object, and the top-level "seed"; a key left out keeps its default."""
-        fld = _object(doc.get("field"), "field")
-        if "b" not in fld:
+        object, and the top-level "seed"; a key left out keeps its default,
+        and a key the config schema does not define is an error."""
+        check_keys(doc)
+        if "b" not in _at(doc, "field"):
             raise ConfigError("config section 'field' has no expression b")
-        sweep = _object(doc.get("sweep", {}), "sweep")
-        grid = _object(sweep.get("grid", {}), "sweep.grid")
-        keys = [(fld, "b", "b"), (fld, "phi", "phi"), (fld, "domain", "domain"),
-                (sweep, "h", "h_list"), (sweep, "m", "m"), (sweep, "tol", "tol"),
-                (sweep, "richardson", "richardson"), (sweep, "quasimode", "quasimode"),
-                (grid, "c", "grid_c"), (grid, "n_max", "n_max"), (grid, "n", "n_fixed"),
-                (doc, "seed", "seed")]
-        return cls(**{name: sec[key] for sec, key, name in keys if key in sec})
+        values = {}
+        for name, (key, _) in _SWEEP_KEYS.items():
+            path, _, last = key.rpartition(".")
+            sec = _at(doc, path)
+            if last in sec:
+                values[name] = sec[last]
+        return cls(**values)
 
 
 @dataclass
@@ -202,11 +237,26 @@ def grid_size(L: float, h: float, c: float = 0.5, n_max: int = 1024) -> int:
     return max(32, min(n, n_max))
 
 
+# h at which the Richardson pair rule meets grid_size; below it the pair is
+# coarser, and above it grid_size holds
+_PAIR_H = 0.1
+
+
+def _pair_size(L: float, h: float, c: float, n_max: int) -> int:
+    """Grid of a Richardson pair's fine member: the extrapolated error in
+    units of h^2 scales as dx^4/h^3, so n = ceil(L / (c sqrt(0.1) h^{3/4})),
+    which meets grid_size at h = 0.1; never finer than grid_size, clamped to
+    [32, n_max]."""
+    n = grid_size(L, h, c, n_max)
+    return max(32, min(n, int(math.ceil(L / (c * math.sqrt(_PAIR_H) * h ** 0.75)))))
+
+
 def _sweep_grid(cfg: SweepConfig, dom: Rectangle, h: float) -> Grid:
     if cfg.n_fixed is not None:
         return Grid(dom, cfg.n_fixed, cfg.n_fixed)
-    return Grid(dom, grid_size(dom.width, h, cfg.grid_c, cfg.n_max),
-                grid_size(dom.height, h, cfg.grid_c, cfg.n_max))
+    size = _pair_size if cfg.richardson else grid_size
+    return Grid(dom, size(dom.width, h, cfg.grid_c, cfg.n_max),
+                size(dom.height, h, cfg.grid_c, cfg.n_max))
 
 
 def richardson(lam_fine, dx_fine, lam_coarse, dx_coarse):
@@ -479,6 +529,9 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = 0,
     Clusters are maximal runs of eigenvalues separated by more than 5x the
     in-cluster spread (with a floor of 1% of the rung spacing); the report
     passes when at least N gaps each exceed 3x the widest adjacent cluster.
+    When the largest eigenvalue given lies inside the window, its cluster
+    may hold only part of its states, so it is left out, and the message
+    says so.
     """
     if N < 0:
         raise DomainError("N must be non-negative")
@@ -510,6 +563,7 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = 0,
         if inside[i] - inside[i - 1] > 5 * max(spread, floor):
             clusters.append(inside[start:i])
             start = i
+    cut = clusters.pop() if inside[-1] == vals[-1] else None
     summaries = tuple((float(c[0]), float(c[-1]),
                        float(c.mean()), float(c[-1] - c[0])) for c in clusters)
     gaps = tuple((summaries[i][1], summaries[i + 1][0])
@@ -518,6 +572,10 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = 0,
                if ghi - glo >= 3 * max(summaries[i][3], summaries[i + 1][3]))
     passed = good >= N
     msg = (f"{len(summaries)} clusters, {good} dominating gaps (need {N})")
+    if cut is not None:
+        msg += (f"; left out the top cluster at {cut.mean():.6g} ({cut.size} "
+                f"computed), which holds the largest eigenvalue and may be "
+                f"incomplete")
     return GapReport(window=(lo, hi), clusters=summaries, gaps=gaps,
                      passed=passed, message=msg)
 

@@ -122,6 +122,13 @@ class TestErrorHandling:
         ("sweep", {"sweep": {"h": [float("nan")]}}, 2),
         ("oracle", {"sweep": {"h": []}}, 2),
         ("solve", {"solve": {"m": 10 ** 400}}, 2),
+        ("solve", {"solve": {"mm": 2, "n": 40, "tolerance": 1e-3}, "sovle": {}}, 2),
+        ("solve", {"solve": {"mm": 2, "n": 40}}, 2),
+        ("sweep", {"sweep": {"grid": {"c": 0.5, "N": 64}}}, 2),
+        ("oracle", {"field": {"b": "1 + x^2 + y^2", "metric": "0"}}, 2),
+        ("gaps", {"gaps": {"p": 3}}, 2),
+        ("quasimode", {"quasimode": {"m": 2}}, 2),
+        ("oracle", {"solve": {"h": 0.1}, "gaps": []}, 2),
     ])
     def test_bad_section_values_exit_with_message(self, capsys, tmp_path,
                                                   command, doc, code):
@@ -129,6 +136,37 @@ class TestErrorHandling:
         got, out, err = run(capsys, command, "--config", cfg)
         assert got == code
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("solve", {"solve": {"mm": 2, "n": 40, "tolerance": 1e-3}, "sovle": {}},
+         "unknown config key sovle"),
+        ("sweep", {"solve": {"mm": 2}}, "unknown config key solve.mm"),
+        ("oracle", {"sweep": {"grid": {"nn": 64}}}, "unknown config key sweep.grid.nn"),
+        ("sweep", {"sweep": {"h": [0.1, float("nan")]}}, "sweep.h entry"),
+        ("sweep", {"sweep": {"h": [0.05, 0.1]}}, "sweep.h must"),
+        ("sweep", {"sweep": {"m": 2.7}}, "sweep.m must"),
+        ("sweep", {"sweep": {"grid": {"c": "a"}}}, "sweep.grid.c must"),
+        ("sweep", {"sweep": {"grid": {"c": 0}}}, "sweep.grid.c must"),
+        ("sweep", {"sweep": {"grid": {"n_max": "big"}}}, "sweep.grid.n_max must"),
+        ("sweep", {"sweep": {"grid": {"n_max": 8}}}, "sweep.grid.n_max must"),
+        ("sweep", {"sweep": {"grid": {"n": "abc"}}}, "sweep.grid.n must"),
+        ("sweep", {"sweep": {"richardson": 1}}, "sweep.richardson must"),
+        ("sweep", {"field": {"b": "1 + x^2 + y^2", "domain": [-2, 2, -2]}},
+         "field.domain must"),
+    ])
+    def test_errors_name_the_config_key(self, capsys, tmp_path, command, doc, key):
+        cfg = write_config(tmp_path, doc)
+        got, out, err = run(capsys, command, "--config", cfg)
+        assert got == 2 and out == ""
+        assert err.startswith(f"error: {key}")
+
+    def test_oracle_accepts_a_full_sweep_section(self, capsys, tmp_path):
+        # oracle reads only sweep.h, but every sweep key is a known key
+        cfg = write_config(tmp_path, {"sweep": {
+            "h": [0.1, 0.05], "m": 3, "tol": 1e-9, "richardson": False,
+            "quasimode": False, "grid": {"c": 0.4, "n_max": 256, "n": 64}}})
+        code, out, _ = run(capsys, "oracle", "--config", cfg)
+        assert code == 0 and out.startswith("table,i,k,value")
 
     def test_seed_flag_wins_over_config_seed(self, capsys, tmp_path,
                                              monkeypatch):

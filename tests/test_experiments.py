@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,41 @@ class TestGridSize:
         assert sizes == sorted(sizes)
 
 
+class TestSweepGrid:
+    # the fine member of each Richardson pair; `_sweep_grid` is square here
+    STD = standard_well().domain
+
+    def sizes(self, hs=(0.1, 0.08, 0.06, 0.05), **kw):
+        cfg = SweepConfig(b="1 + x^2 + y^2", h_list=hs, **kw)
+        return [experiments._sweep_grid(cfg, self.STD, h).nx for h in hs]
+
+    def test_default_pair_grids(self):
+        # n ~ h^{-3/4} below h = 0.1, against grid_size's 143/189/270/339
+        assert self.sizes() == [143, 169, 209, 240]
+
+    def test_grid_size_at_and_above_point_one(self):
+        hs = (0.4, 0.2, 0.16, 0.13, 0.1)
+        assert self.sizes(hs) == [grid_size(4.0, h) for h in hs]
+
+    def test_single_grids_keep_grid_size(self):
+        hs = (0.1, 0.08, 0.06, 0.05)
+        assert self.sizes(richardson=False) == [grid_size(4.0, h) for h in hs]
+        assert self.sizes(n_fixed=64) == [64] * 4
+        assert self.sizes(n_fixed=64, richardson=False) == [64] * 4
+
+    def test_never_finer_than_grid_size(self):
+        hs = tuple(np.geomspace(0.5, 0.005, 40))
+        for got, h in zip(self.sizes(hs), hs):
+            assert 32 <= got <= grid_size(4.0, h)
+
+    def test_c_scales_and_n_max_caps(self):
+        # c scales n by 1/c (up to the ceiling); n_max caps it
+        assert self.sizes(grid_c=0.25) == [285, 337, 418, 479]
+        assert self.sizes(n_max=200) == [143, 169, 200, 200]
+        assert self.sizes((0.05, 0.01), n_max=300) == [240, 300]
+        assert self.sizes((10.0,)) == [32]
+
+
 class TestSweepConfig:
     def test_from_dict_round_trip(self):
         doc = {"field": {"b": "1 + x^2 + y^2", "domain": [-2, 2, -2, 2]},
@@ -47,15 +83,15 @@ class TestSweepConfig:
         assert cfg.seed == 5
 
     def test_h_list_must_descend(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="sweep.h"):
             SweepConfig(b="1", h_list=(0.05, 0.1))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="sweep.h"):
             SweepConfig(b="1", h_list=(0.1, -0.05))
 
     def test_bad_grid_policy(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="sweep.grid.c"):
             SweepConfig(b="1", h_list=(0.1,), grid_c=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="sweep.grid.n_max"):
             SweepConfig(b="1", h_list=(0.1,), n_max=8)
 
     def test_from_dict_keeps_defaults_and_whole_floats(self):
@@ -70,31 +106,42 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"sweep": {}})
 
-    @pytest.mark.parametrize("bad", [{"h_list": ("a",)},
-                                     {"h_list": (0.1,), "n_fixed": "x"},
-                                     {"h_list": (0.1,), "domain": ("a", 2, -2, 2)},
-                                     {"h_list": (0.1,), "m": "6"},
-                                     {"h_list": (0.1,), "m": 2.5},
-                                     {"h_list": (0.1,), "tol": "x"},
-                                     {"h_list": (0.1,), "tol": -1.0},
-                                     {"h_list": (0.1,), "tol": float("nan")},
-                                     {"h_list": (0.1,), "grid_c": "a"},
-                                     {"h_list": (0.1,), "n_max": "big"},
-                                     {"h_list": (0.1,), "seed": "s"},
-                                     {"h_list": (float("nan"),)},
-                                     {"h_list": (0.1,), "tol": float("inf")},
-                                     {"h_list": (0.1,), "m": True},
-                                     {"h_list": (0.1,),
-                                      "domain": ("-2", "2", "-2", "2")}],
-                             ids=["h_list", "n_fixed", "domain", "m", "m-fraction",
-                                  "tol", "tol-negative", "tol-nan", "grid_c",
-                                  "n_max", "seed", "h_list-nan", "tol-inf",
-                                  "m-bool", "domain-strings"])
-    def test_non_numeric_entries_are_config_errors(self, bad):
+    @pytest.mark.parametrize("doc, key", [
+        ({"sweep": {"hh": [0.1]}}, "sweep.hh"),
+        ({"sweep": {"grid": {"c": 0.5, "nmax": 64}}}, "sweep.grid.nmax"),
+        ({"sovle": {}}, "sovle"),
+        ({"field": {"b": "1 + x^2 + y^2", "metric": "0"}}, "field.metric"),
+    ])
+    def test_from_dict_rejects_unknown_keys(self, doc, key):
+        doc = {"field": {"b": "1 + x^2 + y^2"}, **doc}
+        with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
+            SweepConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("bad, key", [
+        ({"h_list": ("a",)}, "sweep.h"),
+        ({"h_list": (0.1,), "n_fixed": "x"}, "sweep.grid.n"),
+        ({"h_list": (0.1,), "domain": ("a", 2, -2, 2)}, "field.domain"),
+        ({"h_list": (0.1,), "m": "6"}, "sweep.m"),
+        ({"h_list": (0.1,), "m": 2.5}, "sweep.m"),
+        ({"h_list": (0.1,), "tol": "x"}, "sweep.tol"),
+        ({"h_list": (0.1,), "tol": -1.0}, "sweep.tol"),
+        ({"h_list": (0.1,), "tol": float("nan")}, "sweep.tol"),
+        ({"h_list": (0.1,), "grid_c": "a"}, "sweep.grid.c"),
+        ({"h_list": (0.1,), "n_max": "big"}, "sweep.grid.n_max"),
+        ({"h_list": (0.1,), "seed": "s"}, "seed"),
+        ({"h_list": (float("nan"),)}, "sweep.h"),
+        ({"h_list": (0.1,), "tol": float("inf")}, "sweep.tol"),
+        ({"h_list": (0.1,), "m": True}, "sweep.m"),
+        ({"h_list": (0.1,), "domain": ("-2", "2", "-2", "2")}, "field.domain")],
+        ids=["h_list", "n_fixed", "domain", "m", "m-fraction",
+             "tol", "tol-negative", "tol-nan", "grid_c",
+             "n_max", "seed", "h_list-nan", "tol-inf",
+             "m-bool", "domain-strings"])
+    def test_non_numeric_entries_are_config_errors(self, bad, key):
         # constructed directly, not only through from_dict; a number out of
         # its range (a fractional m, a tol that is not finite and positive)
-        # is rejected with the non-numbers
-        with pytest.raises(ConfigError):
+        # is rejected with the non-numbers, and the error names the config key
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}\b"):
             SweepConfig(b="1", **bad)
 
 
@@ -342,6 +389,30 @@ class TestDetectGaps:
         vals = self._synthetic(h, centers, spread=1.2 * h * h, per=40)
         rep = detect_gaps(vals, h, self.WELL, k=0, N=2)
         assert not rep.passed
+
+    def test_truncated_top_cluster_left_out(self):
+        # m stops one state into the fourth nine-fold cluster, which lies
+        # inside the window: it is left out instead of reported with width 0
+        h = 0.05
+        centers = [h + h * h * (2 + 2 * k) for k in range(4)]
+        vals = self._synthetic(h, centers, spread=1e-4 * h * h)[:28]
+        rep = detect_gaps(vals, h, self.WELL, k=0, N=2)
+        assert len(rep.clusters) == 3 and len(rep.gaps) == 2
+        assert all(width > 0 for *_, width in rep.clusters)
+        assert rep.clusters[-1][1] < centers[3]
+        assert rep.passed
+        assert rep.message.startswith("3 clusters, 2 dominating gaps")
+        assert "left out the top cluster" in rep.message and "(1 computed)" in rep.message
+
+    def test_cluster_below_a_computed_value_is_kept(self):
+        # a value computed above the window completes the top cluster inside
+        h = 0.05
+        centers = [h + h * h * (2 + 2 * k) for k in range(4)]
+        vals = np.append(self._synthetic(h, centers, spread=1e-4 * h * h),
+                         h + h * h * 20)
+        rep = detect_gaps(vals, h, self.WELL, k=0, N=2)
+        assert len(rep.clusters) == 4 and len(rep.gaps) == 3
+        assert "left out" not in rep.message
 
     def test_window_starts_at_gap_constant(self):
         # the lower edge is (2k+1) h b0 + h^2 c_k with c_k = mu_{0,k,2}
