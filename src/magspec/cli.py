@@ -49,19 +49,20 @@ def _load_config(path):
 
 
 def _setup_from(doc):
+    field = doc.get("field", {})
     domain, = section(doc, "field", domain=(bounds, STANDARD_FIELD["domain"]))
-    return FieldSetup(doc["field"].get("b"), doc["field"].get("phi"),
+    return FieldSetup(field.get("b", STANDARD_FIELD["b"]), field.get("phi"),
                       Rectangle(*domain))
 
 
 def _operator(args, doc, h, n):
-    """Well, gauge, grid and operator of a single-well solve; n = 0 takes
-    the grid size from h."""
+    """Well, gauge, grid and operator of a single-well solve on an n x n
+    grid; n = 0 sizes each axis from its own side and h."""
     setup = _setup_from(doc)
-    n = n or grid_size(setup.domain.width, h)
+    dom = setup.domain
     well = well_data(setup)
     gauge = gauge_from_field(setup, x_anchor=well.x0[0])
-    grid = Grid(setup.domain, n, n)
+    grid = Grid(dom, n or grid_size(dom.width, h), n or grid_size(dom.height, h))
     op = assemble(setup, gauge, grid, h)
     if args.dump_matrix:
         dump_matrix_market(op, args.dump_matrix)
@@ -218,7 +219,7 @@ def main(argv=None) -> int:
     try:
         _check_writable(args.out)
         _check_writable(args.dump_matrix)
-        doc = {"field": STANDARD_FIELD, "seed": 0, **_load_config(args.config)}
+        doc = {"seed": 0, **_load_config(args.config)}
         check_keys(doc)
         doc["seed"] = integer(doc["seed"] if args.seed is None else args.seed, "seed")
         header, rows, code = _COMMANDS[args.command](args, doc)

@@ -118,14 +118,6 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
     weight = np.broadcast_to(setup.mass_weight(X, Y), X.shape)
     mass = weight * w  # (nx, ny)
 
-    # Peierls phases on y-edges between interior nodes: theta[i, j] for the
-    # edge (i, j) -> (i, j+1); x-edges carry phases only for transformed
-    # gauges with A1 != 0 (the native gauge has A1 = 0).
-    edge_int = gauge.y_edge_integrals(xs, ys)  # (nx, ny-1)
-    theta = -edge_int / h
-    x_edge = getattr(gauge, "x_edge_integrals", None)
-    theta_x = None if x_edge is None else -x_edge(xs, ys) / h  # (nx-1, ny)
-
     # aliasing guard: plaquette flux should stay below pi; a grid that
     # aliases the field gets no bottom estimate above the floor
     B = setup.B(X, Y)
@@ -134,12 +126,6 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
         warnings.warn("flux per plaquette exceeds pi -- refine grid")
     b_min = 0.0 if aliased else float(np.min(B / weight))
 
-    idx = np.arange(grid.size).reshape(nx, ny)
-
-    rows = []
-    cols = []
-    vals = []
-
     # diagonal: each interior node sees 4 incident edges (Dirichlet outside)
     diag = np.full((nx, ny), 2 * cx + 2 * cy, dtype=complex)
     floor = 0.0
@@ -147,33 +133,20 @@ def assemble(setup, gauge, grid: Grid, h: float, potential=None) -> AssembledOpe
         V = np.asarray(potential(X, Y), dtype=float)
         diag += V * mass
         floor = min(floor, float(V.min()))
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(diag.ravel())
 
-    # x-hoppings
-    p = idx[:-1, :].ravel()
-    q = idx[1:, :].ravel()
-    if theta_x is None:
-        hop = np.full(p.size, -cx, dtype=complex)
+    # hops -c e^{i theta}, theta = -(edge integral of A) / h, on five
+    # diagonals of the x-major layout: the y-edge p -> p + 1 at offset -1, with
+    # a Dirichlet 0 out of each column's last node, and the x-edge p -> p + ny
+    # at -ny, phased only by transformed gauges (the native gauge has A1 = 0)
+    theta = -gauge.y_edge_integrals(xs, ys) / h  # (nx, ny-1)
+    hop_y = np.pad(-cy * np.exp(1j * theta), ((0, 0), (0, 1))).ravel()[:-1]
+    x_edge = getattr(gauge, "x_edge_integrals", None)
+    if x_edge is None:
+        hop_x = np.full(grid.size - ny, -cx, dtype=complex)
     else:
-        hop = -cx * np.exp(1j * theta_x.ravel())
-    rows.extend([q, p])
-    cols.extend([p, q])
-    vals.extend([hop, hop.conj()])
-
-    # y-hoppings with Peierls phase
-    p = idx[:, :-1].ravel()
-    q = idx[:, 1:].ravel()
-    hop = -cy * np.exp(1j * theta.ravel())
-    rows.extend([q, p])
-    cols.extend([p, q])
-    vals.extend([hop, hop.conj()])
-
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.size, grid.size),
-    ).tocsr()
+        hop_x = -cx * np.exp(1j * (-x_edge(xs, ys) / h).ravel())
+    H = sp.diags([diag.ravel(), hop_x, hop_x.conj(), hop_y, hop_y.conj()],
+                 [0, -ny, ny, -1, 1], format="csr")
     return AssembledOperator(H=H, M=mass.reshape(-1), grid=grid, floor=floor,
                              bottom=floor + h * max(b_min, 0.0))
 

@@ -164,7 +164,7 @@ _SWEEP_KEYS = {
 
 @dataclass(frozen=True)
 class SweepConfig:
-    b: str
+    b: str = STANDARD_FIELD["b"]
     h_list: tuple = (0.1, 0.08, 0.06, 0.05)
     phi: str = None
     domain: tuple = STANDARD_FIELD["domain"]
@@ -191,8 +191,10 @@ class SweepConfig:
             raise ConfigError("sweep.m must be at least 1")
         if self.grid_c <= 0:
             raise ConfigError("sweep.grid.c must be > 0")
-        if self.n_max < 32:
-            raise ConfigError("sweep.grid.n_max must be at least 32")
+        pair = self.richardson and self.n_fixed is None
+        if self.n_max < (_PAIR_N if pair else 32):
+            raise ConfigError("sweep.grid.n_max must be at least " + (
+                f"{_PAIR_N} for a Richardson pair (n, n/2)" if pair else "32"))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -200,8 +202,6 @@ class SweepConfig:
         object, and the top-level "seed"; a key left out keeps its default,
         and a key the config schema does not define is an error."""
         check_keys(doc)
-        if "b" not in _at(doc, "field"):
-            raise ConfigError("config section 'field' has no expression b")
         values = {}
         for name, (key, _) in _SWEEP_KEYS.items():
             path, _, last = key.rpartition(".")
@@ -240,15 +240,18 @@ def grid_size(L: float, h: float, c: float = 0.5, n_max: int = 1024) -> int:
 # h at which the Richardson pair rule meets grid_size; below it the pair is
 # coarser, and above it grid_size holds
 _PAIR_H = 0.1
+# least fine member of a Richardson pair, so that its half keeps grid_size's
+# floor of 32 and the two grids differ
+_PAIR_N = 64
 
 
 def _pair_size(L: float, h: float, c: float, n_max: int) -> int:
     """Grid of a Richardson pair's fine member: the extrapolated error in
     units of h^2 scales as dx^4/h^3, so n = ceil(L / (c sqrt(0.1) h^{3/4})),
-    which meets grid_size at h = 0.1; never finer than grid_size, clamped to
-    [32, n_max]."""
+    which meets grid_size at h = 0.1; never finer than grid_size above its
+    floor, clamped to [64, n_max]."""
     n = grid_size(L, h, c, n_max)
-    return max(32, min(n, int(math.ceil(L / (c * math.sqrt(_PAIR_H) * h ** 0.75)))))
+    return max(_PAIR_N, min(n, int(math.ceil(L / (c * math.sqrt(_PAIR_H) * h ** 0.75)))))
 
 
 def _sweep_grid(cfg: SweepConfig, dom: Rectangle, h: float) -> Grid:
@@ -312,7 +315,7 @@ def run_sweep(config: SweepConfig) -> list:
                                                  seed=config.seed))
             lam = res.eigenvalues
             if config.richardson and config.n_fixed is None:
-                half = Grid(setup.domain, max(32, grid.nx // 2), max(32, grid.ny // 2))
+                half = Grid(setup.domain, grid.nx // 2, grid.ny // 2)
                 lam_half = _certified(smallest_eigenpairs(
                     assemble(setup, gauge, half, h), config.m,
                     tol=config.tol, seed=config.seed)).eigenvalues

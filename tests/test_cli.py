@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import pathlib
 import re
 
@@ -153,6 +154,8 @@ class TestErrorHandling:
         ("sweep", {"sweep": {"richardson": 1}}, "sweep.richardson must"),
         ("sweep", {"field": {"b": "1 + x^2 + y^2", "domain": [-2, 2, -2]}},
          "field.domain must"),
+        ("sweep", {"sweep": {"h": [0.2], "grid": {"n_max": 32}}},
+         "sweep.grid.n_max must be at least 64 for a Richardson pair"),
     ])
     def test_errors_name_the_config_key(self, capsys, tmp_path, command, doc, key):
         cfg = write_config(tmp_path, doc)
@@ -266,6 +269,21 @@ class TestSolve:
         assert csv_rows(dest.read_text())[0][0] == "j"
 
 
+@pytest.mark.parametrize("command, sec", [
+    ("solve", {"solve": {"h": 0.5, "m": 2}}),
+    ("sweep", {"sweep": {"h": [0.5], "m": 2, "quasimode": False}}),
+])
+def test_field_b_defaults_key_by_key(capsys, tmp_path, command, sec):
+    # a field section without b takes the documented b, as it takes domain
+    field = {"domain": [-3, 3, -3, 3]}
+    bare = write_config(tmp_path, {"field": field, **sec}, "bare.json")
+    full = write_config(tmp_path, {"field": {**field, "b": "1 + x^2 + y^2"},
+                                   **sec}, "full.json")
+    code, out, err = run(capsys, command, "--config", bare)
+    assert code == 0, err
+    assert out == run(capsys, command, "--config", full)[1]
+
+
 class TestSweep:
     CFG = {"field": {"b": "1 + x^2 + y^2", "domain": [-2, 2, -2, 2]},
            "sweep": {"h": [0.1, 0.08], "m": 2, "quasimode": False,
@@ -299,6 +317,19 @@ class TestSweep:
         doc = json.loads(dest.read_text())
         assert {d["j"] for d in doc} == {0, 1}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coarse_h_pair_is_two_grids(self, capsys, tmp_path):
+        # grid_size gives 32 at h = 0.5; the pair is (64, 32), not (32, 32),
+        # which would extrapolate 0/0
+        cfg = write_config(tmp_path, {"sweep": {"h": [0.5], "m": 2,
+                                                "quasimode": False}})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert code == 0, err
+        rows = csv_rows(out)[1:]
+        assert [r[1] for r in rows] == ["0", "1"]
+        assert all(r[-1] == "" and math.isfinite(float(r[2])) for r in rows)
+        assert {r[6] for r in rows} == {"64"}
+
 
 class TestQuasimode:
     def test_field_dump(self, capsys, tmp_path):
@@ -309,6 +340,14 @@ class TestQuasimode:
         assert rows[0] == ["x", "y", "re", "im"]
         assert len(rows) == 1 + 40 * 40
         assert "residual" in err
+
+    def test_each_axis_sized_from_its_own_side(self, capsys, tmp_path):
+        # grid_size(4, 0.2) = 60 and grid_size(8, 0.2) = 120
+        cfg = write_config(tmp_path, {"field": {"domain": [-2, 2, -4, 4]},
+                                      "quasimode": {"h": 0.2}})
+        code, out, err = run(capsys, "quasimode", "--config", cfg)
+        assert code == 0, err
+        assert len(csv_rows(out)) == 1 + 60 * 120
 
 
 def test_check_identities(capsys):

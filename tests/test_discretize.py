@@ -62,6 +62,48 @@ class TestAssemble:
         expected = np.exp(-1j * grid.dx * grid.dy / h)
         assert np.abs(product - expected).max() <= 1e-13
 
+    def test_stencil_entries(self):
+        # H link by link: 2 cx + 2 cy + V * mass on the diagonal, and each
+        # edge p -> q stored as H[q, p] = -c e^{-i (edge integral of A) / h},
+        # H[p, q] its conjugate; the grid is not square, so the layout shows
+        s = FieldSetup("1 + x^2 + y^2", "-(x^2 + y^2)/8", Rectangle(-2.0, 2.0, -2.0, 2.0))
+        gauge = TransformedGauge(gauge_from_field(s, x_anchor=0.0), "0.3*x*y - 0.2*y^2")
+        grid = Grid(s.domain, 9, 8)  # 8 is Grid's least size per axis
+        nx, ny, h = grid.nx, grid.ny, 0.3
+        xs, ys, w = grid.xs, grid.ys, grid.dx * grid.dy
+        cx, cy = h * h / grid.dx ** 2 * w, h * h / grid.dy ** 2 * w
+        y_int = gauge.y_edge_integrals(xs, ys)
+        x_int = gauge.x_edge_integrals(xs, ys)
+
+        def potential(x, y):
+            return x ** 2 - 0.5 * y
+
+        ref = np.zeros((grid.size, grid.size), dtype=complex)
+
+        def link(p, q, c, integral):
+            ref[q, p] = -c * np.exp(-1j * integral / h)
+            ref[p, q] = np.conj(ref[q, p])
+
+        for i in range(nx):
+            for j in range(ny):
+                p = i * ny + j
+                mass = math.exp(-(xs[i] ** 2 + ys[j] ** 2) / 4) * w
+                ref[p, p] = 2 * cx + 2 * cy + potential(xs[i], ys[j]) * mass
+                if j + 1 < ny:
+                    link(p, p + 1, cy, y_int[i, j])
+                if i + 1 < nx:
+                    link(p, p + ny, cx, x_int[i, j])
+
+        op = assemble(s, gauge, grid, h, potential=potential)
+        H = op.H.toarray()
+        assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
+        # Dirichlet: no link from the top of column i to the foot of column i+1
+        for i in range(nx - 1):
+            top, foot = i * ny + ny - 1, (i + 1) * ny
+            assert H[top, foot] == 0 and H[foot, top] == 0
+        # one stored entry per node and per direction of each edge
+        assert op.H.nnz == nx * ny + 2 * (nx - 1) * ny + 2 * nx * (ny - 1)
+
     def test_hermitian(self):
         s = FieldSetup("1 + x^2 + y^2", None, Rectangle(-2.0, 2.0, -2.0, 2.0))
         g = gauge_from_field(s, x_anchor=0.0)

@@ -47,8 +47,9 @@ class TestSweepGrid:
         assert self.sizes() == [143, 169, 209, 240]
 
     def test_grid_size_at_and_above_point_one(self):
+        # down to the pair's floor of 64, so that its half keeps 32
         hs = (0.4, 0.2, 0.16, 0.13, 0.1)
-        assert self.sizes(hs) == [grid_size(4.0, h) for h in hs]
+        assert self.sizes(hs) == [max(64, grid_size(4.0, h)) for h in hs]
 
     def test_single_grids_keep_grid_size(self):
         hs = (0.1, 0.08, 0.06, 0.05)
@@ -59,14 +60,15 @@ class TestSweepGrid:
     def test_never_finer_than_grid_size(self):
         hs = tuple(np.geomspace(0.5, 0.005, 40))
         for got, h in zip(self.sizes(hs), hs):
-            assert 32 <= got <= grid_size(4.0, h)
+            assert 64 <= got <= max(64, grid_size(4.0, h))
 
     def test_c_scales_and_n_max_caps(self):
         # c scales n by 1/c (up to the ceiling); n_max caps it
         assert self.sizes(grid_c=0.25) == [285, 337, 418, 479]
         assert self.sizes(n_max=200) == [143, 169, 200, 200]
         assert self.sizes((0.05, 0.01), n_max=300) == [240, 300]
-        assert self.sizes((10.0,)) == [32]
+        assert self.sizes((10.0,)) == [64]
+        assert self.sizes((10.0,), richardson=False) == [32]
 
 
 class TestSweepConfig:
@@ -102,9 +104,10 @@ class TestSweepConfig:
         assert isinstance(cfg.m, int)
         assert cfg.h_list == (0.1, 0.08, 0.06, 0.05)
 
-    def test_from_dict_missing_field(self):
-        with pytest.raises(ConfigError):
-            SweepConfig.from_dict({"sweep": {}})
+    def test_from_dict_missing_b_takes_default(self):
+        # field.b defaults key by key, as field.domain does
+        assert SweepConfig.from_dict({"sweep": {}}) == SweepConfig()
+        assert SweepConfig.from_dict({"field": {"phi": "0"}}).b == "1 + x^2 + y^2"
 
     @pytest.mark.parametrize("doc, key", [
         ({"sweep": {"hh": [0.1]}}, "sweep.hh"),
@@ -215,18 +218,19 @@ def _uncertify(monkeypatch, fail_dim):
 
 
 class TestCertification:
-    # full grids 60 and 80, half grids 32 and 40: four distinct dimensions
+    # full grids 64 (the pair's floor) and 80, half grids 32 and 40: four
+    # distinct dimensions
     CFG = dict(b="1 + x^2 + y^2", h_list=(0.2, 0.16), m=2, quasimode=False)
 
     def test_unconverged_pair_fails_its_h(self, monkeypatch):
-        n = grid_size(4.0, 0.2)
+        n = max(64, grid_size(4.0, 0.2))
         _uncertify(monkeypatch, fail_dim=n * n)
         recs = run_sweep(SweepConfig(**self.CFG))
         assert [(r.h, r.j) for r in recs] == [(0.16, 0), (0.16, 1), (0.2, -1)]
         assert "1 of 2 eigenpairs failed the residual test" in recs[-1].error
 
     def test_unconverged_half_grid_pair_fails_its_h(self, monkeypatch):
-        n = max(32, grid_size(4.0, 0.16) // 2)
+        n = grid_size(4.0, 0.16) // 2
         _uncertify(monkeypatch, fail_dim=n * n)
         recs = run_sweep(SweepConfig(**self.CFG))
         assert [(r.h, r.j) for r in recs] == [(0.16, -1), (0.2, 0), (0.2, 1)]
