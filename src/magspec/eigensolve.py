@@ -32,9 +32,20 @@ by Sylvester's law they are its nonpositive U-diagonal entries (Grimes, Lewis
   off the diagonal rerun it at the floor min(0, min V), a proven lower
   bound, with the pivoted factor.
 
-`EigenResult.shift` records the shift-invert shift of the run that was kept,
-`count_shift` the shift of the count that certified it (tau, sigma, or None
-at the floor), and `iterations` the shift-invert solves of every run.
+The parity split.  The experiments' fields are unchanged by the rotation by
+pi about the domain centre, on a centred grid the index reversal P (node
+k -> dim-1-k).  If sqrt(||E||_1 ||E||_inf) <= tol/100 for E = Hs - P Hs P, a
+request that starts with the full certified run (m >= 25) is solved as an
+even and an odd block of half the size (`_parity_blocks`, `blocks` = 2),
+each by the full request and its fallback for its m_b = ceil(m/2) + 1
+smallest pairs, as one block keeps m of m + 5.  The union's values up to T,
+the smaller of the two m_b-th values, answer if at least m; else the block
+that set T runs again with m_b = m.  Other requests are one block.
+
+`EigenResult.shift` records the shift-invert shift of the run that was kept
+(of two blocks, the lower), `count_shift` the shift of the count that
+certified it (tau, sigma if every block counted at sigma, or None), and
+`iterations` the shift-invert solves of every run of every block.
 
 `EigenResult.eigenvectors` is one (dim, m) complex array: column i is the
 eigenvector of eigenvalues[i], a grid function in the x-major layout of
@@ -76,6 +87,7 @@ class EigenResult:
     # shift of the inertia count that certified the run: tau above lambda_m,
     # or sigma; None for an uncertified run (at the floor, or near a target)
     count_shift: float = None
+    blocks: int = 1  # 2 when solved as two parity blocks
 
     def __len__(self):
         return self.eigenvalues.size
@@ -198,14 +210,78 @@ def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
     return vals, vecs, solves, sigma if count else None
 
 
+def _run(Hs, runs, m: int, tol: float, seed: int):
+    """(vals, vecs, solves, shift, count shift) of the first of `runs` whose
+    certificate holds on Hs, the solves summed over every run made."""
+    solves = 0
+    for sigma, count in runs:
+        vals, vecs, more, count_shift = _arpack_near(Hs, sigma, m, tol, seed,
+                                                     count=count)
+        solves += more
+        if vals is not None:
+            return vals, vecs, solves, sigma, count_shift
+
+
+def _parity_blocks(Hs, tol: float):
+    """The even and odd blocks of Hs averaged with P Hs P, or None if
+    sqrt(||E||_1 ||E||_inf) > tol / 100 for E = Hs - P Hs P.  In the basis
+    (e_i +- e_{dim-1-i}) / sqrt(2), i < h = dim // 2, they are A + B and A - B
+    for A = Hs[:h, :h] and B = Hs[:h, dim-h:] in reversed column order; an odd
+    dim adds the centre e_h to the even block, coupled by sqrt(2) Hs[:h, h]."""
+    dim, h, PHP = Hs.shape[0], Hs.shape[0] // 2, Hs[::-1, ::-1]
+    E = Hs - PHP
+    if np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf)) > tol / 100:
+        return None
+    Hs = 0.5 * (Hs + PHP)
+    A, B, c = Hs[:h, :h], Hs[:h, dim - h:][:, ::-1], np.sqrt(2.0)
+    even = A + B
+    if dim % 2:
+        even = sp.bmat([[even, c * Hs[:h, h:h + 1]],
+                        [c * Hs[h:h + 1, :h], Hs[h:h + 1, h:h + 1]]])
+    return even.tocsc(), (A - B).tocsc()
+
+
+def _split_pairs(blocks, runs, m: int, tol: float, seed: int, dim: int):
+    """`_run`'s tuple for the m smallest pairs of Hs from its `_parity_blocks`
+    by the union rule (module docstring), vecs one Fortran-ordered (dim, m)
+    array: each kept block vector embedded as an even or odd grid function."""
+    wants = [m // 2 + m % 2 + 1] * 2
+    out = [_run(b, runs, wants[0], tol, seed) for b in blocks]
+    solves = out[0][2] + out[1][2]
+    while True:
+        kept = [np.argsort(o[0])[:k] for o, k in zip(out, wants)]
+        tops = [o[0][i[-1]] for o, i in zip(out, kept)]
+        vals = np.concatenate([o[0][i] for o, i in zip(out, kept)])
+        below, short = np.flatnonzero(vals <= min(tops)), int(np.argmin(tops))
+        if below.size >= m:
+            break
+        if wants[short] == m:
+            raise DomainError(f"parity blocks gave {below.size} of {m} pairs")
+        wants[short], out[short] = m, _run(blocks[short], runs, m, tol, seed)
+        solves += out[short][2]
+    order = below[np.argsort(vals[below], kind="stable")][:m]
+    h, ne, s = dim // 2, kept[0].size, np.sqrt(0.5)
+    vecs = np.zeros((dim, m), dtype=complex, order="F")
+    for b, ((_, vb, *_), i) in enumerate(zip(out, kept)):
+        cols = np.flatnonzero((order < ne) == (b == 0))
+        src = vb[:, i[order[cols] - b * ne]]
+        vecs[:h, cols] = s * src[:h]
+        vecs[dim - h:, cols] = (1 - 2 * b) * s * src[h - 1::-1]
+        if dim % 2 and b == 0:
+            vecs[h, cols] = src[h]
+    return (vals[order], vecs, solves, min(o[3] for o in out),
+            None if None in (out[0][4], out[1][4]) else out[0][4])
+
+
 def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
                         seed: int, key) -> EigenResult:
     """The m pairs of the pencil nearest the shift of the first of `runs`
     whose certificate holds, ordered by `key(vals)`.
 
     `runs` are (shift, count) requests for `_arpack_near`; the last one is
-    uncertified, so it answers if no earlier one does.  Each pair is
-    certified by its residual ||H v - lambda M v|| / ||M v|| <= tol.
+    uncertified, so it answers if no earlier one does; `_split_pairs` answers
+    when the first is the full certified run and Hs has `_parity_blocks`.
+    Each pair is certified by its residual ||H v - lambda M v|| / ||M v|| <= tol.
     """
     if not tol >= 1e-13:  # also NaN, which would never converge
         raise DomainError(f"tol must be >= 1e-13 in double precision, got {tol}")
@@ -213,31 +289,33 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     if m < 1 or m > n // 4:
         raise DomainError(f"m must be in [1, dim/4], got {m} for dim {n}")
     d = 1.0 / np.sqrt(op.M)
-    D = sp.diags(d)
-    Hs = (D @ op.H @ D).tocsc()
-    solves = 0
-    for sigma, count in runs:
-        vals, vecs, more, count_shift = _arpack_near(Hs, sigma, m, tol, seed,
-                                                     count=count)
-        solves += more
-        if vals is not None:
-            break
+    Hs = (sp.diags(d) @ op.H @ sp.diags(d)).tocsc()
+    blocks = _parity_blocks(Hs, tol) if runs[0][1] == "sigma" else None
+    vals, vecs, solves, sigma, count_shift = (
+        _run(Hs, runs, m, tol, seed) if blocks is None
+        else _split_pairs(blocks, runs, m, tol, seed, n))
     del Hs  # not needed by the back-transform
-    order = np.argsort(key(vals))[:m]
-    vals = np.asarray(vals[order], dtype=float)
+    if blocks is None:
+        order = np.argsort(key(vals))[:m]
+        vals, vecs = vals[order], vecs[:, order]
+    vals = np.asarray(vals, dtype=float)
 
     # back-transform: v = M^{-1/2} v_sym is M-orthonormal
-    vecs = vecs[:, order] * d[:, None]
-    Mv = op.M[:, None] * vecs
-    res = np.linalg.norm(op.H @ vecs - vals[None, :] * Mv, axis=0)
-    res /= np.linalg.norm(Mv, axis=0)
+    vecs *= d[:, None]
+    res = np.empty(m)  # 16 columns at a time bound the temporaries
+    for cols in np.array_split(np.arange(m), -(-m // 16)):
+        v = vecs[:, cols[0]:cols[-1] + 1]
+        Mv = op.M[:, None] * v
+        res[cols] = np.linalg.norm(op.H @ v - vals[None, cols] * Mv, axis=0)
+        res[cols] /= np.linalg.norm(Mv, axis=0)
     return EigenResult(eigenvalues=vals,
                        eigenvectors=vecs,
                        residuals=res,
                        iterations=solves,
                        converged=res <= tol,
                        shift=float(sigma),
-                       count_shift=count_shift)
+                       count_shift=count_shift,
+                       blocks=1 if blocks is None else 2)
 
 
 def smallest_eigenpairs(op: AssembledOperator, m: int, tol: float = 1e-10,

@@ -219,7 +219,7 @@ class SweepRecord:
     lambda_predicted: float
     solver_residual: float
     quasimode_residual: float
-    n: int
+    n: int  # nx, the grid size along x; ny is not recorded
     error: str = None
 
     def __post_init__(self):

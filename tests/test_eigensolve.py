@@ -352,6 +352,105 @@ class TestDegenerateClusters:
                                        atol=0)
 
 
+def oscillator_operator():
+    """x^2 + y^2 under the weak field b = 0.05, h = 0.1, on 24 x 24: the
+    oscillator shells N = 0..6 hold 16 rotation-even and 12 odd levels."""
+    s = FieldSetup("0.05", None, SQUARE2)
+    return assemble(s, gauge_from_field(s, x_anchor=0.0), Grid(SQUARE2, 24, 24),
+                    0.1, potential=lambda x, y: x ** 2 + y ** 2)
+
+
+class TestParitySplit:
+    """m >= 25 on an operator that commutes with the index reversal P (its
+    field is symmetric under the rotation by pi about the domain centre) is
+    solved as an even and an odd block of half the size."""
+
+    @pytest.mark.parametrize("m", range(25, 31))
+    @pytest.mark.parametrize("n", [12, 11], ids=["dim144", "dim121-centre"])
+    def test_agrees_with_dense(self, n, m):
+        op = std_operator(n, h=0.5)
+        res = smallest_eigenpairs(op, m, tol=1e-10)
+        assert res.blocks == 2 and res.count_shift == res.shift > op.floor
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, m),
+                                   rtol=1e-12, atol=0)
+        assert np.all(res.converged)
+        V = res.eigenvectors
+        assert V.shape == (op.dim, m) and V.flags.f_contiguous
+        G = V.conj().T @ (op.M[:, None] * V)
+        assert np.abs(G - np.eye(m)).max() <= 1e-10
+        # every column is even or odd under P
+        even = np.linalg.norm(V[::-1] - V, axis=0)
+        odd = np.linalg.norm(V[::-1] + V, axis=0)
+        assert np.all(np.minimum(even, odd) <= 1e-10 * np.linalg.norm(V, axis=0))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_parity_blocks_are_exact(self, n):
+        # Q^H Hs Q = diag(even, odd) for the parity basis Q: the pairs
+        # (e_i +- e_{dim-1-i}) / sqrt(2), and the centre node of an odd dim
+        Hs = symmetrized(std_operator(n, h=0.5))
+        even, odd = es._parity_blocks(Hs, 1e-10)
+        dim, h = Hs.shape[0], Hs.shape[0] // 2
+        ne, i = dim - h, np.arange(h)
+        Q = np.zeros((dim, dim))
+        Q[i, i] = Q[dim - 1 - i, i] = Q[i, ne + i] = 1 / np.sqrt(2)
+        Q[dim - 1 - i, ne + i] = -1 / np.sqrt(2)
+        if dim % 2:
+            Q[h, h] = 1.0
+        assert even.shape == (ne, ne) and odd.shape == (h, h)
+        np.testing.assert_allclose(
+            Q.T @ Hs.toarray() @ Q,
+            scipy.linalg.block_diag(even.toarray(), odd.toarray()),
+            rtol=0, atol=1e-14 * abs(Hs).max())
+
+    def test_operator_without_symmetry_runs_one_block(self):
+        # b + 0.3 x^3 is not symmetric under P: one block, with today's
+        # arithmetic (residuals of all columns at once) bit for bit
+        s = FieldSetup("1 + x^2 + y^2 + 0.3*x^3", None, SQUARE2)
+        op = assemble(s, gauge_from_field(s, x_anchor=0.0),
+                      Grid(SQUARE2, 40, 40), 0.1)
+        Hs = symmetrized(op)
+        assert es._parity_blocks(Hs, 1e-10) is None
+        res = smallest_eigenpairs(op, 30, tol=1e-10)
+        sigma = op.floor + es._BELOW_BOTTOM * (op.bottom - op.floor)
+        vals, vecs, solves, count = es._arpack_near(Hs, sigma, 30, 1e-10, 0,
+                                                    count="sigma")
+        order = np.argsort(vals)[:30]
+        vecs = vecs[:, order] * (1.0 / np.sqrt(op.M))[:, None]
+        Mv = op.M[:, None] * vecs
+        r = np.linalg.norm(op.H @ vecs - vals[order][None, :] * Mv, axis=0)
+        r /= np.linalg.norm(Mv, axis=0)
+        assert res.blocks == 1 and res.iterations == solves
+        assert res.shift == res.count_shift == count == sigma
+        np.testing.assert_array_equal(res.eigenvalues, vals[order])
+        np.testing.assert_array_equal(res.residuals, r)
+
+    def test_short_block_reruns_with_m(self, monkeypatch):
+        # m = 28, m_b = 15: the even block's 15th value lies in shell 6,
+        # and the union up to it holds 15 + 12 < 28 values, so the even
+        # block runs again with m_b = 28.  Each first run also loses its
+        # first pair beyond the m_b kept, which the even block's answer
+        # needs: only pairs the certificate covers may be used.
+        op = oscillator_operator()
+        calls, real = [], es._arpack_near
+
+        def spy(Hs, sigma, m, tol, seed, count=None):
+            vals, vecs, solves, shift = real(Hs, sigma, m, tol, seed, count)
+            calls.append((Hs, m, solves))
+            if m == 15:
+                keep = np.arange(vals.size) != np.argsort(vals)[15]
+                vals, vecs = vals[keep], vecs[:, keep]
+            return vals, vecs, solves, shift
+        monkeypatch.setattr(es, "_arpack_near", spy)
+        res = smallest_eigenpairs(op, 28, tol=1e-10)
+        assert [c[1] for c in calls] == [15, 15, 28]
+        assert calls[2][0] is calls[0][0]  # the even block
+        assert res.blocks == 2 and res.count_shift == res.shift
+        assert res.iterations == sum(c[2] for c in calls)
+        assert np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 28),
+                                   rtol=1e-12, atol=0)
+
+
 class TestEigenpairsNear:
     def test_matches_dense_window(self):
         op = std_operator(12, h=0.1)

@@ -187,6 +187,22 @@ class TestRunSweep:
         (r,) = run_sweep(cfg)
         assert math.isnan(r.quasimode_residual)
 
+    def test_n_column_is_the_x_axis(self, monkeypatch):
+        # a 4 x 8 domain solves on 64 x 120 (and 32 x 60); the n column
+        # holds nx, so it reads 64
+        grids, solve = [], experiments.smallest_eigenpairs
+
+        def spy(op, m, **kwargs):
+            grids.append((op.grid.nx, op.grid.ny))
+            return solve(op, m, **kwargs)
+        monkeypatch.setattr(experiments, "smallest_eigenpairs", spy)
+        cfg = SweepConfig.from_dict({"field": {"domain": [-2, 2, -4, 4]},
+                                     "sweep": {"h": [0.2], "m": 1,
+                                               "quasimode": False}})
+        (r,) = run_sweep(cfg)
+        assert grids == [(64, 120), (32, 60)]
+        assert r.error is None and r.n == 64
+
     def test_degenerate_field_produces_failure_record(self):
         recs = run_sweep(SweepConfig(b="x", h_list=(0.1,)))
         assert len(recs) == 1
