@@ -42,6 +42,24 @@ smallest pairs, as one block keeps m of m + 5.  The union's values up to T,
 the smaller of the two m_b-th values, answer if at least m; else the block
 that set T runs again with m_b = m.  Other requests are one block.
 
+Real arithmetic.  The experiments' fields are also even in y about the
+domain's centre line, and in the A1 = 0 gauge the node mirror R_y
+((i, j) -> (i, ny-1-j)) then conjugates Hs: R_y Hs R_y = conj(Hs).  The
+antiunitary J = K R_y (K complex conjugation) commutes with P, so on each
+block it acts as conjugation after a signed permutation S of the block
+index k = i ny + j: k -> i ny + ny-1-j with sign +1 for rows i < nx // 2,
+and fixed points on the middle row of an odd nx (sign +1 in the even block,
+-1 in the odd one) and at the centre node (+1).  If
+sqrt(||E||_1 ||E||_inf) <= tol/100 for E = B - conj(S B S), the block B,
+averaged with conj(S B S), is solved as the real symmetric R = Q^H B Q in
+the J-fixed basis Q: (e_k + e_Sk)/sqrt(2) and i(e_k - e_Sk)/sqrt(2) for a
+pair k < Sk, e_k or i e_k for a fixed k of sign +1 or -1 (`_real_form`).
+The factor, the count and `eigsh` (ARPACK's real Lanczos) then run in real
+arithmetic, and each kept vector r maps back to Q r.  `EigenResult.real`
+is True when every block did.  A field symmetric under P but not under the
+mirror (a rotated well, 1 + 3x^2 + 2xy + 2y^2) keeps complex blocks, and the
+one-block path stays complex.
+
 `EigenResult.shift` records the shift-invert shift of the run that was kept
 (of two blocks, the lower), `count_shift` the shift of the count that
 certified it (tau, sigma if every block counted at sigma, or None), and
@@ -80,6 +98,8 @@ _BELOW_BOTTOM = 0.95
 class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # (dim, m), M-orthonormal columns
+    # ||H v - lambda M v|| / ||M v||: the M^{-1} norm of the residual only
+    # for a constant M, so not on a curved metric
     residuals: np.ndarray
     iterations: int  # shift-invert solves (OPinv applications)
     converged: np.ndarray  # bool per pair
@@ -88,6 +108,7 @@ class EigenResult:
     # or sigma; None for an uncertified run (at the floor, or near a target)
     count_shift: float = None
     blocks: int = 1  # 2 when solved as two parity blocks
+    real: bool = False  # every block's Krylov loop ran in real arithmetic
 
     def __len__(self):
         return self.eigenvalues.size
@@ -222,6 +243,11 @@ def _run(Hs, runs, m: int, tol: float, seed: int):
             return vals, vecs, solves, sigma, count_shift
 
 
+def _symmetric(E, tol: float) -> bool:
+    """The symmetry gate: sqrt(||E||_1 ||E||_inf) <= tol / 100."""
+    return np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf)) <= tol / 100
+
+
 def _parity_blocks(Hs, tol: float):
     """The even and odd blocks of Hs averaged with P Hs P, or None if
     sqrt(||E||_1 ||E||_inf) > tol / 100 for E = Hs - P Hs P.  In the basis
@@ -229,8 +255,7 @@ def _parity_blocks(Hs, tol: float):
     for A = Hs[:h, :h] and B = Hs[:h, dim-h:] in reversed column order; an odd
     dim adds the centre e_h to the even block, coupled by sqrt(2) Hs[:h, h]."""
     dim, h, PHP = Hs.shape[0], Hs.shape[0] // 2, Hs[::-1, ::-1]
-    E = Hs - PHP
-    if np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf)) > tol / 100:
+    if not _symmetric(Hs - PHP, tol):
         return None
     Hs = 0.5 * (Hs + PHP)
     A, B, c = Hs[:h, :h], Hs[:h, dim - h:][:, ::-1], np.sqrt(2.0)
@@ -241,12 +266,38 @@ def _parity_blocks(Hs, tol: float):
     return even.tocsc(), (A - B).tocsc()
 
 
-def _split_pairs(blocks, runs, m: int, tol: float, seed: int, dim: int):
+def _real_form(B, tol: float, grid, odd: bool):
+    """(R, Q): R = Re(Q^H B Q), the real symmetric form of the even or `odd`
+    parity block B in the basis Q of J-fixed vectors (module docstring), or
+    (B, None) if sqrt(||E||_1 ||E||_inf) > tol / 100 for E = B - conj(S B S).
+    A pair k < S k (sign +1) has columns k and S k, a fixed k column k."""
+    ny, k = grid.ny, np.arange(B.shape[0])
+    i, j = np.divmod(k, ny)
+    Sk = np.where(i < grid.nx // 2, i * ny + ny - 1 - j, k)
+    s = np.where((i == grid.nx // 2) & odd, -1.0, 1.0)
+    S = sp.csc_matrix((s, (Sk, k)))
+    SBS = (S @ B @ S).conj()
+    if not _symmetric(B - SBS, tol):
+        return B, None
+    lo, f, c = k[k < Sk], k[k == Sk], np.sqrt(0.5)
+    hi = Sk[lo]
+    Q = sp.csc_matrix((np.concatenate([np.repeat([c, c, 1j * c, -1j * c],
+                                                 lo.size),
+                                       np.where(s[f] > 0, 1, 1j)]),
+                       (np.concatenate([lo, hi, lo, hi, f]),
+                        np.concatenate([lo, lo, hi, hi, f]))))
+    return (Q.conj().T @ (0.5 * (B + SBS)) @ Q).real.tocsc(), Q
+
+
+def _split_pairs(blocks, runs, m: int, tol: float, seed: int, grid):
     """`_run`'s tuple for the m smallest pairs of Hs from its `_parity_blocks`
-    by the union rule (module docstring), vecs one Fortran-ordered (dim, m)
-    array: each kept block vector embedded as an even or odd grid function."""
+    by the union rule (module docstring), each block in its `_real_form` where
+    the gate admits it, and whether every block did.  vecs is one
+    Fortran-ordered (dim, m) array: each kept block vector embedded as an
+    even or odd grid function."""
+    forms = [_real_form(blocks[b], tol, grid, b == 1) for b in (0, 1)]
     wants = [m // 2 + m % 2 + 1] * 2
-    out = [_run(b, runs, wants[0], tol, seed) for b in blocks]
+    out = [_run(f[0], runs, wants[0], tol, seed) for f in forms]
     solves = out[0][2] + out[1][2]
     while True:
         kept = [np.argsort(o[0])[:k] for o, k in zip(out, wants)]
@@ -257,20 +308,26 @@ def _split_pairs(blocks, runs, m: int, tol: float, seed: int, dim: int):
             break
         if wants[short] == m:
             raise DomainError(f"parity blocks gave {below.size} of {m} pairs")
-        wants[short], out[short] = m, _run(blocks[short], runs, m, tol, seed)
+        wants[short], out[short] = m, _run(forms[short][0], runs, m, tol, seed)
         solves += out[short][2]
     order = below[np.argsort(vals[below], kind="stable")][:m]
-    h, ne, s = dim // 2, kept[0].size, np.sqrt(0.5)
+    dim, ne, s = grid.size, kept[0].size, np.sqrt(0.5)
+    h = dim // 2
     vecs = np.zeros((dim, m), dtype=complex, order="F")
-    for b, ((_, vb, *_), i) in enumerate(zip(out, kept)):
+    for b, ((_, vb, *_), i, (_, Q)) in enumerate(zip(out, kept, forms)):
         cols = np.flatnonzero((order < ne) == (b == 0))
-        src = vb[:, i[order[cols] - b * ne]]
-        vecs[:h, cols] = s * src[:h]
-        vecs[dim - h:, cols] = (1 - 2 * b) * s * src[h - 1::-1]
-        if dim % 2 and b == 0:
-            vecs[h, cols] = src[h]
+        for at in range(0, cols.size, 16):  # 16 columns bound the temporaries
+            part = cols[at:at + 16]
+            src = vb[:, i[order[part] - b * ne]]
+            if Q is not None:
+                src = Q @ src
+            vecs[:h, part] = s * src[:h]
+            vecs[dim - h:, part] = (1 - 2 * b) * s * src[h - 1::-1]
+            if dim % 2 and b == 0:
+                vecs[h, part] = src[h]
     return (vals[order], vecs, solves, min(o[3] for o in out),
-            None if None in (out[0][4], out[1][4]) else out[0][4])
+            None if None in (out[0][4], out[1][4]) else out[0][4],
+            all(f[1] is not None for f in forms))
 
 
 def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
@@ -291,9 +348,9 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     d = 1.0 / np.sqrt(op.M)
     Hs = (sp.diags(d) @ op.H @ sp.diags(d)).tocsc()
     blocks = _parity_blocks(Hs, tol) if runs[0][1] == "sigma" else None
-    vals, vecs, solves, sigma, count_shift = (
-        _run(Hs, runs, m, tol, seed) if blocks is None
-        else _split_pairs(blocks, runs, m, tol, seed, n))
+    vals, vecs, solves, sigma, count_shift, real = (
+        (*_run(Hs, runs, m, tol, seed), False) if blocks is None
+        else _split_pairs(blocks, runs, m, tol, seed, op.grid))
     del Hs  # not needed by the back-transform
     if blocks is None:
         order = np.argsort(key(vals))[:m]
@@ -315,7 +372,8 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
                        converged=res <= tol,
                        shift=float(sigma),
                        count_shift=count_shift,
-                       blocks=1 if blocks is None else 2)
+                       blocks=1 if blocks is None else 2,
+                       real=real)
 
 
 def smallest_eigenpairs(op: AssembledOperator, m: int, tol: float = 1e-10,

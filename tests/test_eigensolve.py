@@ -53,6 +53,18 @@ class TestSmallestEigenpairs:
                                    atol=1e-12)
         assert np.all(res.converged)
 
+    @pytest.mark.filterwarnings("error:flux per plaquette")
+    @pytest.mark.parametrize("n,h,m", [(10, 0.5, 6), (8, 0.6, 16)],
+                             ids=["dim100", "coarsest-largest"])
+    def test_unaliased_grid_agrees_with_dense(self, n, h, m):
+        # the twins of the two tests above on grids that resolve the field,
+        # so the certified runs answer rather than the one at the floor
+        op = std_operator(n, h=h)
+        res = smallest_eigenpairs(op, m, tol=1e-10)
+        assert res.count_shift is not None and np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, m),
+                                   atol=1e-12)
+
     def test_krylov_agrees_with_dense(self):
         op = std_operator(40)  # 1600 unknowns
         kry = smallest_eigenpairs(op, 5, tol=1e-10).eigenvalues
@@ -451,6 +463,81 @@ class TestParitySplit:
                                    rtol=1e-12, atol=0)
 
 
+class TestRealForm:
+    """Each parity block of a field that is also even in y is solved as a
+    real symmetric matrix in a basis of vectors fixed by J = K R_y."""
+
+    @pytest.mark.parametrize("m", range(25, 31))
+    @pytest.mark.parametrize("n", [12, 11], ids=["dim144", "dim121-centre"])
+    def test_real_blocks_agree_with_dense(self, n, m):
+        op = std_operator(n, h=0.5)
+        res = smallest_eigenpairs(op, m, tol=1e-10)
+        assert res.blocks == 2 and res.real
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, m),
+                                   rtol=1e-12, atol=0)
+        V = res.eigenvectors
+        assert V.flags.f_contiguous
+        G = V.conj().T @ (op.M[:, None] * V)
+        assert np.abs(G - np.eye(m)).max() <= 1e-10
+        even = np.linalg.norm(V[::-1] - V, axis=0)
+        odd = np.linalg.norm(V[::-1] + V, axis=0)
+        assert np.all(np.minimum(even, odd) <= 1e-10 * np.linalg.norm(V, axis=0))
+
+    @pytest.mark.parametrize("nx,ny", [(11, 12), (12, 11)])
+    def test_rectangular_grids(self, nx, ny):
+        # a middle row without a centre node, and a fixed column in every row
+        s = FieldSetup("1 + x^2 + y^2", None, SQUARE2)
+        op = assemble(s, gauge_from_field(s, x_anchor=0.0),
+                      Grid(SQUARE2, nx, ny), 0.5)
+        res = smallest_eigenpairs(op, 25, tol=1e-10)
+        assert res.blocks == 2 and res.real and np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 25),
+                                   rtol=1e-12, atol=0)
+
+    @staticmethod
+    def j_fixed_basis(nx, ny, size, odd):
+        """Q built from its definition: for k = i ny + j with i < nx // 2 and
+        j < ny-1-j, column k is (e_k + e_Sk)/sqrt(2) and column Sk is
+        i (e_k - e_Sk)/sqrt(2), Sk = i ny + ny-1-j; every other k is fixed,
+        with column e_k, or i e_k on the odd block's middle row."""
+        Q = sp.lil_matrix((size, size), dtype=complex)
+        c = 1 / np.sqrt(2)
+        for k in range(size):
+            i, j = divmod(k, ny)
+            Sk = i * ny + ny - 1 - j
+            if i >= nx // 2 or Sk == k:
+                Q[k, k] = 1j if odd and i == nx // 2 else 1
+            elif k < Sk:
+                Q[k, k] = Q[Sk, k] = c
+                Q[k, Sk], Q[Sk, Sk] = 1j * c, -1j * c
+        return Q.tocsc()
+
+    @pytest.mark.parametrize("n", [96, 97])
+    def test_real_form_is_the_block_in_the_fixed_basis(self, n):
+        tiled = TiledField(standard_well(), 3)
+        op = assemble(tiled, tiled.gauge(), Grid(tiled.domain, n, n), 0.05)
+        for odd, B in enumerate(es._parity_blocks(symmetrized(op), 1e-8)):
+            R, _ = es._real_form(B, 1e-8, op.grid, odd == 1)
+            Q = self.j_fixed_basis(n, n, B.shape[0], odd)
+            QBQ = Q.conj().T @ B @ Q
+            scale = abs(B).max()
+            assert R.dtype == np.float64
+            assert abs(QBQ.imag).max() <= 1e-12 * scale
+            assert abs(R - QBQ.real).max() <= 1e-12 * scale
+
+    def test_rotated_well_keeps_complex_blocks(self):
+        # 1 + 3x^2 + 2xy + 2y^2 is symmetric under P but not under the
+        # y mirror: two parity blocks, each solved in complex arithmetic
+        s = FieldSetup("1 + 3*x^2 + 2*x*y + 2*y^2", None, SQUARE2)
+        op = assemble(s, gauge_from_field(s, x_anchor=0.0),
+                      Grid(SQUARE2, 40, 40), 0.1)
+        res = smallest_eigenpairs(op, 30, tol=1e-10)
+        assert res.blocks == 2 and not res.real
+        assert np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 30),
+                                   rtol=1e-12, atol=0)
+
+
 class TestEigenpairsNear:
     def test_matches_dense_window(self):
         op = std_operator(12, h=0.1)
@@ -501,6 +588,23 @@ class TestPartialConvergence:
     def test_m_converged_pairs_are_kept_and_certified(self, stop_early, solve):
         kept = stop_early(4)
         res = solve(std_operator(12), 4)
+        np.testing.assert_array_equal(np.sort(res.eigenvalues), np.sort(kept))
+        assert np.all(res.converged)
+        assert np.all(res.residuals <= 1e-10)
+
+    # the smallest cases again on a grid that resolves the field (h = 0.5),
+    # where the certified full request stops early rather than the floor run
+    @pytest.mark.filterwarnings("error:flux per plaquette")
+    def test_fewer_than_m_pairs_on_unaliased_grid(self, stop_early):
+        stop_early(3)
+        with pytest.raises(DomainError, match="converged only 3 of 4"):
+            smallest_eigenpairs(std_operator(12, h=0.5), 4)
+
+    @pytest.mark.filterwarnings("error:flux per plaquette")
+    def test_m_converged_pairs_kept_on_unaliased_grid(self, stop_early):
+        kept = stop_early(4)
+        res = smallest_eigenpairs(std_operator(12, h=0.5), 4)
+        assert res.count_shift is not None
         np.testing.assert_array_equal(np.sort(res.eigenvalues), np.sort(kept))
         assert np.all(res.converged)
         assert np.all(res.residuals <= 1e-10)
