@@ -34,13 +34,35 @@ by Sylvester's law they are its nonpositive U-diagonal entries (Grimes, Lewis
 
 The parity split.  The experiments' fields are unchanged by the rotation by
 pi about the domain centre, on a centred grid the index reversal P (node
-k -> dim-1-k).  If sqrt(||E||_1 ||E||_inf) <= tol/100 for E = Hs - P Hs P, a
-request that starts with the full certified run (m >= 25) is solved as an
-even and an odd block of half the size (`_parity_blocks`, `blocks` = 2),
-each by the full request and its fallback for its m_b = ceil(m/2) + 1
-smallest pairs, as one block keeps m of m + 5.  The union's values up to T,
-the smaller of the two m_b-th values, answer if at least m; else the block
-that set T runs again with m_b = m.  Other requests are one block.
+k -> dim-1-k).  If the symmetry gate admits E = Hs - P Hs P, two kinds of
+request are solved as an even and an odd block of half the size
+(`_parity_blocks`, `blocks` = 2): one that starts with the full certified
+run (m >= 25), and a certified small request (m <= 24, first run "above")
+on at least 2,048 unknowns.  Each block runs the request's whole run list
+(small request, full request, floor) for its m_b = ceil(m/2) + 1 smallest
+pairs, as one block keeps m of m + 5.  The union's values up to T, the
+smaller of the two m_b-th values, answer if at least m; else the block that
+set T runs again with m_b = m.  Other requests are one block.  A split small
+request makes about 1.7 times the solves of one block, each on a half-size
+real block (below), so the split pays only on large operators.  For m = 6
+on the standard well at h = 0.1 (2 CPUs, medians of 7), the split took 1.3
+times one block's time at 256 and 576 unknowns, 0.84-1.13 times from 1,024
+to 2,304, and 0.71-0.86 times from 4,096 to 20,449.  The 2,048 threshold
+sits in the even band and keeps the 40 x 40 grids on the one-block small
+request, whose run sequence and solve count are known.
+
+The symmetry gate admits the defect E of a Hermitian A (Hs or a block) if
+sqrt(||E||_1 ||E||_inf) <= tol min(||A||_1 / 100, 1/10).  E is roundoff of
+the Peierls phases, up to about 2e-13 ||Hs||_1 on the experiments' grids,
+so the bound is relative to ||A||: on the 3 x 3 tiling at h = 0.05,
+n = 192, E is 1.1e-12, above an absolute tol/100 at the default
+tol = 1e-10.  A term that breaks the symmetry by more than tol ||A||_1 / 100
+is refused.  An admitted E is harmless: A - E/2 is what is solved, and
+||E||_2 <= sqrt(||E||_1 ||E||_inf) <= tol/10, so by Weyl's inequality its
+k-th eigenvalue is within tol/20 of A's for every k.  A count's tau lies
+more than tol from the returned values on either side, so none is carried
+across it, and a vector's residual in A exceeds its residual in A - E/2 by
+at most tol/20.
 
 Real arithmetic.  The experiments' fields are also even in y about the
 domain's centre line, and in the A1 = 0 gauge the node mirror R_y
@@ -49,21 +71,23 @@ antiunitary J = K R_y (K complex conjugation) commutes with P, so on each
 block it acts as conjugation after a signed permutation S of the block
 index k = i ny + j: k -> i ny + ny-1-j with sign +1 for rows i < nx // 2,
 and fixed points on the middle row of an odd nx (sign +1 in the even block,
--1 in the odd one) and at the centre node (+1).  If
-sqrt(||E||_1 ||E||_inf) <= tol/100 for E = B - conj(S B S), the block B,
-averaged with conj(S B S), is solved as the real symmetric R = Q^H B Q in
-the J-fixed basis Q: (e_k + e_Sk)/sqrt(2) and i(e_k - e_Sk)/sqrt(2) for a
-pair k < Sk, e_k or i e_k for a fixed k of sign +1 or -1 (`_real_form`).
-The factor, the count and `eigsh` (ARPACK's real Lanczos) then run in real
-arithmetic, and each kept vector r maps back to Q r.  `EigenResult.real`
-is True when every block did.  A field symmetric under P but not under the
-mirror (a rotated well, 1 + 3x^2 + 2xy + 2y^2) keeps complex blocks, and the
-one-block path stays complex.
+-1 in the odd one) and at the centre node (+1).  If the gate admits
+E = B - conj(S B S), the block B, averaged with conj(S B S), is solved as
+the real symmetric R = Q^H B Q in the J-fixed basis Q: (e_k + e_Sk)/sqrt(2)
+and i(e_k - e_Sk)/sqrt(2) for a pair k < Sk, e_k or i e_k for a fixed k of
+sign +1 or -1 (`_real_form`).  The factor, the count and `eigsh` (ARPACK's
+real Lanczos) then run in real arithmetic, and each kept vector r maps back
+to Q r.  `EigenResult.real` is True when every block did.  A field
+symmetric under P but not under the mirror (a rotated well,
+1 + 3x^2 + 2xy + 2y^2) keeps complex blocks, and the one-block path stays
+complex.
 
 `EigenResult.shift` records the shift-invert shift of the run that was kept
 (of two blocks, the lower), `count_shift` the shift of the count that
-certified it (tau, sigma if every block counted at sigma, or None), and
-`iterations` the shift-invert solves of every run of every block.
+certified it (tau or sigma; of two blocks, the lower of their two, since
+each proves its block complete below its own; None if any answer is
+uncertified), and `iterations` the shift-invert solves of every run of
+every block.
 
 `EigenResult.eigenvectors` is one (dim, m) complex array: column i is the
 eigenvector of eigenvalues[i], a grid function in the x-major layout of
@@ -92,6 +116,8 @@ _SMALL_RESTARTS = 10
 # fraction of the way from the floor to the bottom estimate at which the
 # smallest pairs are sought first
 _BELOW_BOTTOM = 0.95
+# the fewest unknowns at which a small request splits into parity blocks
+_SPLIT_SMALL_DIM = 2048
 
 
 @dataclass
@@ -105,7 +131,8 @@ class EigenResult:
     converged: np.ndarray  # bool per pair
     shift: float  # the shift-invert shift of the run that was kept
     # shift of the inertia count that certified the run: tau above lambda_m,
-    # or sigma; None for an uncertified run (at the floor, or near a target)
+    # or sigma; of two blocks, the lower of theirs; None for an uncertified
+    # run (at the floor, or near a target)
     count_shift: float = None
     blocks: int = 1  # 2 when solved as two parity blocks
     real: bool = False  # every block's Krylov loop ran in real arithmetic
@@ -243,19 +270,21 @@ def _run(Hs, runs, m: int, tol: float, seed: int):
             return vals, vecs, solves, sigma, count_shift
 
 
-def _symmetric(E, tol: float) -> bool:
-    """The symmetry gate: sqrt(||E||_1 ||E||_inf) <= tol / 100."""
-    return np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf)) <= tol / 100
+def _symmetric(A, E, tol: float) -> bool:
+    """The symmetry gate on the defect E of the Hermitian A:
+    sqrt(||E||_1 ||E||_inf) <= tol min(||A||_1 / 100, 1/10)."""
+    return (np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf))
+            <= tol * min(spla.norm(A, 1) / 100, 0.1))
 
 
 def _parity_blocks(Hs, tol: float):
-    """The even and odd blocks of Hs averaged with P Hs P, or None if
-    sqrt(||E||_1 ||E||_inf) > tol / 100 for E = Hs - P Hs P.  In the basis
+    """The even and odd blocks of Hs averaged with P Hs P, or None if the
+    gate (`_symmetric`) refuses E = Hs - P Hs P.  In the basis
     (e_i +- e_{dim-1-i}) / sqrt(2), i < h = dim // 2, they are A + B and A - B
     for A = Hs[:h, :h] and B = Hs[:h, dim-h:] in reversed column order; an odd
     dim adds the centre e_h to the even block, coupled by sqrt(2) Hs[:h, h]."""
     dim, h, PHP = Hs.shape[0], Hs.shape[0] // 2, Hs[::-1, ::-1]
-    if not _symmetric(Hs - PHP, tol):
+    if not _symmetric(Hs, Hs - PHP, tol):
         return None
     Hs = 0.5 * (Hs + PHP)
     A, B, c = Hs[:h, :h], Hs[:h, dim - h:][:, ::-1], np.sqrt(2.0)
@@ -269,7 +298,7 @@ def _parity_blocks(Hs, tol: float):
 def _real_form(B, tol: float, grid, odd: bool):
     """(R, Q): R = Re(Q^H B Q), the real symmetric form of the even or `odd`
     parity block B in the basis Q of J-fixed vectors (module docstring), or
-    (B, None) if sqrt(||E||_1 ||E||_inf) > tol / 100 for E = B - conj(S B S).
+    (B, None) if the gate (`_symmetric`) refuses E = B - conj(S B S).
     A pair k < S k (sign +1) has columns k and S k, a fixed k column k."""
     ny, k = grid.ny, np.arange(B.shape[0])
     i, j = np.divmod(k, ny)
@@ -277,7 +306,7 @@ def _real_form(B, tol: float, grid, odd: bool):
     s = np.where((i == grid.nx // 2) & odd, -1.0, 1.0)
     S = sp.csc_matrix((s, (Sk, k)))
     SBS = (S @ B @ S).conj()
-    if not _symmetric(B - SBS, tol):
+    if not _symmetric(B, B - SBS, tol):
         return B, None
     lo, f, c = k[k < Sk], k[k == Sk], np.sqrt(0.5)
     hi = Sk[lo]
@@ -325,8 +354,9 @@ def _split_pairs(blocks, runs, m: int, tol: float, seed: int, grid):
             vecs[dim - h:, part] = (1 - 2 * b) * s * src[h - 1::-1]
             if dim % 2 and b == 0:
                 vecs[h, part] = src[h]
+    counts = [o[4] for o in out]
     return (vals[order], vecs, solves, min(o[3] for o in out),
-            None if None in (out[0][4], out[1][4]) else out[0][4],
+            None if None in counts else min(counts),
             all(f[1] is not None for f in forms))
 
 
@@ -337,7 +367,8 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
 
     `runs` are (shift, count) requests for `_arpack_near`; the last one is
     uncertified, so it answers if no earlier one does; `_split_pairs` answers
-    when the first is the full certified run and Hs has `_parity_blocks`.
+    when Hs has `_parity_blocks` and the first run is the full certified one,
+    or the small request on at least `_SPLIT_SMALL_DIM` unknowns.
     Each pair is certified by its residual ||H v - lambda M v|| / ||M v|| <= tol.
     """
     if not tol >= 1e-13:  # also NaN, which would never converge
@@ -347,7 +378,9 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
         raise DomainError(f"m must be in [1, dim/4], got {m} for dim {n}")
     d = 1.0 / np.sqrt(op.M)
     Hs = (sp.diags(d) @ op.H @ sp.diags(d)).tocsc()
-    blocks = _parity_blocks(Hs, tol) if runs[0][1] == "sigma" else None
+    split = runs[0][1] == "sigma" or (runs[0][1] == "above"
+                                      and n >= _SPLIT_SMALL_DIM)
+    blocks = _parity_blocks(Hs, tol) if split else None
     vals, vecs, solves, sigma, count_shift, real = (
         (*_run(Hs, runs, m, tol, seed), False) if blocks is None
         else _split_pairs(blocks, runs, m, tol, seed, op.grid))

@@ -538,6 +538,115 @@ class TestRealForm:
                                    rtol=1e-12, atol=0)
 
 
+class TestSplitSmallRequest:
+    """m <= 24 on a symmetric operator of at least 2,048 unknowns: each real
+    parity block runs the small request, certified by a count above its
+    values, and falls back on its own."""
+
+    @pytest.fixture(scope="class", params=[46, 47],
+                    ids=["dim2116", "dim2209-centre"])
+    def well(self, request):
+        op = std_operator(request.param, h=0.5)
+        return op, dense_reference(op, 24)
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """(block, count, discarded, solves) of every ARPACK run."""
+        log = []
+        real = es._arpack_near
+
+        def spy(Hs, *args, **kwargs):
+            out = real(Hs, *args, **kwargs)
+            log.append((Hs, kwargs["count"], out[0] is None, out[2]))
+            return out
+        monkeypatch.setattr(es, "_arpack_near", spy)
+        return log
+
+    @pytest.mark.parametrize("m", [1, 6, 12, 24])
+    def test_agrees_with_dense(self, well, m):
+        op, ref = well
+        assert op.dim >= es._SPLIT_SMALL_DIM
+        res = smallest_eigenpairs(op, m, tol=1e-10)
+        assert res.blocks == 2 and res.real
+        assert res.count_shift > res.eigenvalues[-1]
+        assert np.all(res.converged)
+        # ||Hs|| is about 300 at h = 0.5: the dense reference itself is
+        # good to about 1e-12 relative here, as is the one-block answer
+        np.testing.assert_allclose(res.eigenvalues, ref[:m], rtol=1e-11, atol=0)
+        V = res.eigenvectors
+        G = V.conj().T @ (op.M[:, None] * V)
+        assert np.abs(G - np.eye(m)).max() <= 1e-10
+        even = np.linalg.norm(V[::-1] - V, axis=0)
+        odd = np.linalg.norm(V[::-1] + V, axis=0)
+        assert np.all(np.minimum(even, odd) <= 1e-10 * np.linalg.norm(V, axis=0))
+
+    def test_iterations_sum_both_blocks(self, well, runs):
+        op, _ = well
+        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        assert [r[1:3] for r in runs] == [("above", False)] * 2
+        assert runs[0][0] is not runs[1][0]
+        assert res.iterations == sum(r[3] for r in runs)
+
+    def test_block_falls_back_alone(self, well, runs, monkeypatch):
+        # the even block's small request loses its lowest pair: its count
+        # above fails and its full request answers, certified at sigma; the
+        # odd block keeps its small request
+        op, ref = well
+        real = spla.eigsh
+
+        def eigsh(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            if not runs:  # the even block's small request
+                keep = np.arange(vals.size) != np.argmin(vals)
+                return vals[keep], vecs[:, keep]
+            return vals, vecs
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        assert [r[1:3] for r in runs] == [("above", True), ("sigma", False),
+                                          ("above", False)]
+        assert runs[1][0] is runs[0][0] and runs[2][0] is not runs[0][0]
+        assert res.blocks == 2 and res.count_shift == res.shift
+        assert res.iterations == sum(r[3] for r in runs)
+        assert np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, ref[:6], rtol=1e-11, atol=0)
+
+    def test_gate_scales_with_the_operator(self):
+        # the roundoff in Hs - P Hs P grows with ||Hs||: at n = 192 it is
+        # 1.1e-12, above tol / 100 at the default tol, and admitted; a
+        # P-breaking entry of size tol ||Hs||_1 is still refused
+        tiled = TiledField(standard_well(), 3)
+        op = assemble(tiled, tiled.gauge(), Grid(tiled.domain, 192, 192), 0.05)
+        Hs = symmetrized(op)
+        blocks = es._parity_blocks(Hs, 1e-10)
+        assert blocks is not None
+        for odd, B in enumerate(blocks):
+            assert es._real_form(B, 1e-10, op.grid, odd == 1)[1] is not None
+        delta = 1e-10 * spla.norm(Hs, 1)
+        bump = sp.csc_matrix(([delta, delta], ([0, 1], [1, 0])), shape=Hs.shape)
+        assert es._parity_blocks(Hs + bump, 1e-10) is None
+
+    def test_below_threshold_runs_one_block(self):
+        # 45 x 45 = 2,025 unknowns, below the 2,048 at which a small request
+        # splits: one block, bit for bit `_run` on Hs
+        op = std_operator(45, h=0.5)
+        Hs = symmetrized(op)
+        assert es._parity_blocks(Hs, 1e-10) is not None
+        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        sigma = op.floor + es._BELOW_BOTTOM * (op.bottom - op.floor)
+        vals, vecs, solves, shift, count = es._run(
+            Hs, [(sigma, "above"), (sigma, "sigma"), (op.floor, None)], 6,
+            1e-10, 0)
+        order = np.argsort(vals)[:6]
+        vecs = vecs[:, order] * (1.0 / np.sqrt(op.M))[:, None]
+        Mv = op.M[:, None] * vecs
+        r = np.linalg.norm(op.H @ vecs - vals[order][None, :] * Mv, axis=0)
+        r /= np.linalg.norm(Mv, axis=0)
+        assert res.blocks == 1 and not res.real and res.iterations == solves
+        assert res.shift == shift and res.count_shift == count
+        np.testing.assert_array_equal(res.eigenvalues, vals[order])
+        np.testing.assert_array_equal(res.residuals, r)
+
+
 class TestEigenpairsNear:
     def test_matches_dense_window(self):
         op = std_operator(12, h=0.1)
