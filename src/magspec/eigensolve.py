@@ -37,32 +37,30 @@ pi about the domain centre, on a centred grid the index reversal P (node
 k -> dim-1-k).  If the symmetry gate admits E = Hs - P Hs P, two kinds of
 request are solved as an even and an odd block of half the size
 (`_parity_blocks`, `blocks` = 2): one that starts with the full certified
-run (m >= 25), and a certified small request (m <= 24, first run "above")
-on at least 2,048 unknowns.  Each block runs the request's whole run list
-(small request, full request, floor) for its m_b = ceil(m/2) + 1 smallest
-pairs, as one block keeps m of m + 5.  The union's values up to T, the
-smaller of the two m_b-th values, answer if at least m; else the block that
-set T runs again with m_b = m.  Other requests are one block.  A split small
-request makes about 1.7 times the solves of one block, each on a half-size
-real block (below), so the split pays only on large operators.  For m = 6
-on the standard well at h = 0.1 (2 CPUs, medians of 7), the split took 1.3
-times one block's time at 256 and 576 unknowns, 0.84-1.13 times from 1,024
-to 2,304, and 0.71-0.86 times from 4,096 to 20,449.  The 2,048 threshold
-sits in the even band and keeps the 40 x 40 grids on the one-block small
-request, whose run sequence and solve count are known.
+run (m >= 25), and a certified small request (first run "above") for
+6 <= m <= 24 pairs on at least 4,096 unknowns.  Each block runs the
+request's whole run list (small request, full request, floor) for its
+m_b = ceil(m/2) + 1 smallest pairs, as one block keeps m of m + 5.  The
+union's values up to T, the smaller of the two m_b-th values, answer if at
+least m; else the block that set T runs again with m_b = m.  Other requests
+are one block.  A split small request makes about 1.7 times the solves of
+one block, each on a half-size real block (below), but factors each block
+twice (the Krylov factor and the count), which on large grids takes as long
+as one block's two complex factors: the split pays where the Krylov loop
+weighs, at m >= 6.  Split time over one block's on the standard well at h = 0.1
+(2 CPUs, medians of 3 to 7): for m = 6, 1.3 at 256 and 576 unknowns,
+0.78-1.13 from 1,024 to 3,600, 0.72-0.86 from 4,096 to 131,044 and
+0.78-0.93 at 262,144; for m = 12 and 24, 0.48-0.77 from 4,096 to 262,144;
+for m = 1 to 5, 0.67-1.02 from 4,096 to 131,044 but 0.95-1.14 at 262,144.
 
-The symmetry gate admits the defect E of a Hermitian A (Hs or a block) if
-sqrt(||E||_1 ||E||_inf) <= tol min(||A||_1 / 100, 1/10).  E is roundoff of
-the Peierls phases, up to about 2e-13 ||Hs||_1 on the experiments' grids,
-so the bound is relative to ||A||: on the 3 x 3 tiling at h = 0.05,
-n = 192, E is 1.1e-12, above an absolute tol/100 at the default
-tol = 1e-10.  A term that breaks the symmetry by more than tol ||A||_1 / 100
-is refused.  An admitted E is harmless: A - E/2 is what is solved, and
-||E||_2 <= sqrt(||E||_1 ||E||_inf) <= tol/10, so by Weyl's inequality its
-k-th eigenvalue is within tol/20 of A's for every k.  A count's tau lies
-more than tol from the returned values on either side, so none is carried
-across it, and a vector's residual in A exceeds its residual in A - E/2 by
-at most tol/20.
+The symmetry gate admits a defect E (Hs - P Hs P, or a block's, below) if
+sqrt(||E||_1 ||E||_inf) <= tol/10.  What is solved is the averaged operator
+A - E/2, and ||E||_2 <= sqrt(||E||_1 ||E||_inf), so by Weyl's inequality
+each of its eigenvalues is within tol/20 of A's.  A count's tau lies more
+than tol from the returned values on either side, so none is carried across
+it, and a vector's residual in A exceeds its residual in A - E/2 by at most
+tol/20.  E is roundoff of the Peierls phases, 1.1e-12 on the 3 x 3 tiling
+at h = 0.05, n = 192, within tol/10 at the default tol = 1e-10.
 
 Real arithmetic.  The experiments' fields are also even in y about the
 domain's centre line, and in the A1 = 0 gauge the node mirror R_y
@@ -116,8 +114,10 @@ _SMALL_RESTARTS = 10
 # fraction of the way from the floor to the bottom estimate at which the
 # smallest pairs are sought first
 _BELOW_BOTTOM = 0.95
-# the fewest unknowns at which a small request splits into parity blocks
-_SPLIT_SMALL_DIM = 2048
+# the fewest pairs and unknowns at which a small request splits into parity
+# blocks (module docstring)
+_SPLIT_SMALL_M = 6
+_SPLIT_SMALL_DIM = 4096
 
 
 @dataclass
@@ -270,11 +270,9 @@ def _run(Hs, runs, m: int, tol: float, seed: int):
             return vals, vecs, solves, sigma, count_shift
 
 
-def _symmetric(A, E, tol: float) -> bool:
-    """The symmetry gate on the defect E of the Hermitian A:
-    sqrt(||E||_1 ||E||_inf) <= tol min(||A||_1 / 100, 1/10)."""
-    return (np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf))
-            <= tol * min(spla.norm(A, 1) / 100, 0.1))
+def _symmetric(E, tol: float) -> bool:
+    """The symmetry gate: sqrt(||E||_1 ||E||_inf) <= tol / 10."""
+    return np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf)) <= tol / 10
 
 
 def _parity_blocks(Hs, tol: float):
@@ -284,7 +282,7 @@ def _parity_blocks(Hs, tol: float):
     for A = Hs[:h, :h] and B = Hs[:h, dim-h:] in reversed column order; an odd
     dim adds the centre e_h to the even block, coupled by sqrt(2) Hs[:h, h]."""
     dim, h, PHP = Hs.shape[0], Hs.shape[0] // 2, Hs[::-1, ::-1]
-    if not _symmetric(Hs, Hs - PHP, tol):
+    if not _symmetric(Hs - PHP, tol):
         return None
     Hs = 0.5 * (Hs + PHP)
     A, B, c = Hs[:h, :h], Hs[:h, dim - h:][:, ::-1], np.sqrt(2.0)
@@ -306,7 +304,7 @@ def _real_form(B, tol: float, grid, odd: bool):
     s = np.where((i == grid.nx // 2) & odd, -1.0, 1.0)
     S = sp.csc_matrix((s, (Sk, k)))
     SBS = (S @ B @ S).conj()
-    if not _symmetric(B, B - SBS, tol):
+    if not _symmetric(B - SBS, tol):
         return B, None
     lo, f, c = k[k < Sk], k[k == Sk], np.sqrt(0.5)
     hi = Sk[lo]
@@ -368,7 +366,8 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     `runs` are (shift, count) requests for `_arpack_near`; the last one is
     uncertified, so it answers if no earlier one does; `_split_pairs` answers
     when Hs has `_parity_blocks` and the first run is the full certified one,
-    or the small request on at least `_SPLIT_SMALL_DIM` unknowns.
+    or the small request for at least `_SPLIT_SMALL_M` pairs on at least
+    `_SPLIT_SMALL_DIM` unknowns.
     Each pair is certified by its residual ||H v - lambda M v|| / ||M v|| <= tol.
     """
     if not tol >= 1e-13:  # also NaN, which would never converge
@@ -379,6 +378,7 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     d = 1.0 / np.sqrt(op.M)
     Hs = (sp.diags(d) @ op.H @ sp.diags(d)).tocsc()
     split = runs[0][1] == "sigma" or (runs[0][1] == "above"
+                                      and m >= _SPLIT_SMALL_M
                                       and n >= _SPLIT_SMALL_DIM)
     blocks = _parity_blocks(Hs, tol) if split else None
     vals, vecs, solves, sigma, count_shift, real = (

@@ -14,7 +14,7 @@ from magspec.discretize import Grid, assemble
 from magspec.eigensolve import (eigenpairs_near, nearest_eigenvalue,
                                 smallest_eigenpairs)
 from magspec.errors import DomainError
-from magspec.experiments import TiledField, standard_well
+from magspec.experiments import TiledField, curved_well, standard_well
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
                                gauge_from_field)
 
@@ -539,15 +539,20 @@ class TestRealForm:
 
 
 class TestSplitSmallRequest:
-    """m <= 24 on a symmetric operator of at least 2,048 unknowns: each real
-    parity block runs the small request, certified by a count above its
+    """6 <= m <= 24 on a symmetric operator of at least 4,096 unknowns: each
+    real parity block runs the small request, certified by a count above its
     values, and falls back on its own."""
 
-    @pytest.fixture(scope="class", params=[46, 47],
-                    ids=["dim2116", "dim2209-centre"])
+    @pytest.fixture(scope="class", params=[64, 65],
+                    ids=["dim4096", "dim4225-centre"])
     def well(self, request):
+        # a dense reference takes 20 s at this size; ARPACK's shift-invert
+        # of the whole Hs at 0, below the spectrum (b >= 1, no potential),
+        # agrees with it within 3.2e-12 relative on both grids
         op = std_operator(request.param, h=0.5)
-        return op, dense_reference(op, 24)
+        vals = spla.eigsh(symmetrized(op), k=30, sigma=0.0, which="LM",
+                          tol=1e-14, return_eigenvectors=False)
+        return op, np.sort(vals)[:24]
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -562,16 +567,16 @@ class TestSplitSmallRequest:
         monkeypatch.setattr(es, "_arpack_near", spy)
         return log
 
-    @pytest.mark.parametrize("m", [1, 6, 12, 24])
-    def test_agrees_with_dense(self, well, m):
+    @pytest.mark.parametrize("m", [6, 7, 12, 24])
+    def test_agrees_with_reference(self, well, m):
         op, ref = well
-        assert op.dim >= es._SPLIT_SMALL_DIM
+        assert op.dim >= es._SPLIT_SMALL_DIM and m >= es._SPLIT_SMALL_M
         res = smallest_eigenpairs(op, m, tol=1e-10)
         assert res.blocks == 2 and res.real
         assert res.count_shift > res.eigenvalues[-1]
         assert np.all(res.converged)
-        # ||Hs|| is about 300 at h = 0.5: the dense reference itself is
-        # good to about 1e-12 relative here, as is the one-block answer
+        # ||Hs|| is about 500 at h = 0.5: the reference is good to about
+        # 3e-12 relative here, as is the one-block answer
         np.testing.assert_allclose(res.eigenvalues, ref[:m], rtol=1e-11, atol=0)
         V = res.eigenvectors
         G = V.conj().T @ (op.M[:, None] * V)
@@ -610,10 +615,22 @@ class TestSplitSmallRequest:
         assert np.all(res.converged)
         np.testing.assert_allclose(res.eigenvalues, ref[:6], rtol=1e-11, atol=0)
 
-    def test_gate_scales_with_the_operator(self):
-        # the roundoff in Hs - P Hs P grows with ||Hs||: at n = 192 it is
-        # 1.1e-12, above tol / 100 at the default tol, and admitted; a
-        # P-breaking entry of size tol ||Hs||_1 is still refused
+    def test_curved_metric_splits_in_real_blocks(self):
+        # a non-constant metric, even in x and in y, splits the same way
+        f = curved_well()
+        op = assemble(f, gauge_from_field(f, x_anchor=0.0),
+                      Grid(f.domain, 64, 64), 0.2)
+        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        assert res.blocks == 2 and res.real and np.all(res.converged)
+        ref = spla.eigsh(symmetrized(op), k=12, sigma=0.0, which="LM",
+                         tol=1e-14, return_eigenvectors=False)
+        np.testing.assert_allclose(res.eigenvalues, np.sort(ref)[:6],
+                                   rtol=1e-11, atol=0)
+
+    def test_gate_admits_roundoff_not_a_breaking_entry(self):
+        # at n = 192 the roundoff in Hs - P Hs P is 1.1e-12, within tol / 10
+        # at the default tol: admitted, and so are the blocks' real forms;
+        # a P-breaking entry of size tol is refused
         tiled = TiledField(standard_well(), 3)
         op = assemble(tiled, tiled.gauge(), Grid(tiled.domain, 192, 192), 0.05)
         Hs = symmetrized(op)
@@ -621,22 +638,24 @@ class TestSplitSmallRequest:
         assert blocks is not None
         for odd, B in enumerate(blocks):
             assert es._real_form(B, 1e-10, op.grid, odd == 1)[1] is not None
-        delta = 1e-10 * spla.norm(Hs, 1)
-        bump = sp.csc_matrix(([delta, delta], ([0, 1], [1, 0])), shape=Hs.shape)
+        bump = sp.csc_matrix(([1e-10, 1e-10], ([0, 1], [1, 0])), shape=Hs.shape)
         assert es._parity_blocks(Hs + bump, 1e-10) is None
 
-    def test_below_threshold_runs_one_block(self):
-        # 45 x 45 = 2,025 unknowns, below the 2,048 at which a small request
-        # splits: one block, bit for bit `_run` on Hs
-        op = std_operator(45, h=0.5)
+    @pytest.mark.parametrize("n, m", [(63, 6), (64, 5)],
+                             ids=["dim3969", "m5"])
+    def test_below_threshold_runs_one_block(self, n, m):
+        # 63 x 63 = 3,969 unknowns, or m = 5, below the 4,096 unknowns and 6
+        # pairs at which a small request splits: one block, bit for bit
+        # `_run` on Hs
+        op = std_operator(n, h=0.5)
         Hs = symmetrized(op)
         assert es._parity_blocks(Hs, 1e-10) is not None
-        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        res = smallest_eigenpairs(op, m, tol=1e-10)
         sigma = op.floor + es._BELOW_BOTTOM * (op.bottom - op.floor)
         vals, vecs, solves, shift, count = es._run(
-            Hs, [(sigma, "above"), (sigma, "sigma"), (op.floor, None)], 6,
+            Hs, [(sigma, "above"), (sigma, "sigma"), (op.floor, None)], m,
             1e-10, 0)
-        order = np.argsort(vals)[:6]
+        order = np.argsort(vals)[:m]
         vecs = vecs[:, order] * (1.0 / np.sqrt(op.M))[:, None]
         Mv = op.M[:, None] * vecs
         r = np.linalg.norm(op.H @ vecs - vals[order][None, :] * Mv, axis=0)
