@@ -47,8 +47,8 @@ are one block.  A split small request makes about 1.7 times the solves of
 one block, each on a half-size real block (below), but factors each block
 twice (the Krylov factor and the count), which on large grids takes as long
 as one block's two complex factors: the split pays where the Krylov loop
-weighs, at m >= 6.  Split time over one block's on the standard well at h = 0.1
-(2 CPUs, medians of 3 to 7): for m = 6, 1.3 at 256 and 576 unknowns,
+weighs, at m >= 6.  Split time over one block's on the standard well at
+h = 0.1 (2 CPUs, medians of 3 to 7): for m = 6, 1.3 at 256 and 576 unknowns,
 0.78-1.13 from 1,024 to 3,600, 0.72-0.86 from 4,096 to 131,044 and
 0.78-0.93 at 262,144; for m = 12 and 24, 0.48-0.77 from 4,096 to 262,144;
 for m = 1 to 5, 0.67-1.02 from 4,096 to 131,044 but 0.95-1.14 at 262,144.

@@ -638,7 +638,8 @@ class TestSplitSmallRequest:
         assert blocks is not None
         for odd, B in enumerate(blocks):
             assert es._real_form(B, 1e-10, op.grid, odd == 1)[1] is not None
-        bump = sp.csc_matrix(([1e-10, 1e-10], ([0, 1], [1, 0])), shape=Hs.shape)
+        bump = sp.csc_matrix(([1e-10, 1e-10], ([0, 1], [1, 0])),
+                             shape=Hs.shape)
         assert es._parity_blocks(Hs + bump, 1e-10) is None
 
     @pytest.mark.parametrize("n, m", [(63, 6), (64, 5)],
