@@ -31,6 +31,6 @@ from .experiments import (FitResult, GapReport, MontgomeryReport, SweepConfig,
                           SweepRecord, TiledField, curved_well, detect_gaps,
                           fit_expansion, grid_size, montgomery_check,
                           run_gap_experiment, run_sweep, standard_well,
-                          write_records, write_table)
+                          write_table)
 
 __version__ = "0.1.0"

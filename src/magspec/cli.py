@@ -19,11 +19,10 @@ import numpy as np
 from .discretize import Grid, assemble, dump_matrix_market
 from .eigensolve import smallest_eigenpairs
 from .errors import ConfigError, DomainError, ParseError
-from .experiments import (STANDARD_FIELD, SweepConfig, bounds, check_keys,
-                          fit_expansion, grid_size, integer, number, number_list,
-                          record_table, run_gap_experiment, run_sweep,
-                          section, write_table)
-from .fieldgeom import FieldSetup, Rectangle, gauge_from_field, well_data
+from .experiments import (SweepConfig, check_keys, field_setup, fit_expansion,
+                          grid_size, record_table, run_gap_experiment,
+                          run_sweep, section, write_table)
+from .fieldgeom import gauge_from_field, well_data
 from .hermite import hermite_norm_sq, hermite_poly, moment_table
 from .quasimode import (QuasimodeSpec, assemble_T2, build_leading_quasimode,
                         clipped_cutoff, residual)
@@ -48,17 +47,10 @@ def _load_config(path):
     return doc
 
 
-def _setup_from(doc):
-    field = doc.get("field", {})
-    domain, = section(doc, "field", domain=(bounds, STANDARD_FIELD["domain"]))
-    return FieldSetup(field.get("b", STANDARD_FIELD["b"]), field.get("phi"),
-                      Rectangle(*domain))
-
-
 def _operator(args, doc, h, n):
     """Well, gauge, grid and operator of a single-well solve on an n x n
     grid; n = 0 sizes each axis from its own side and h."""
-    setup = _setup_from(doc)
+    setup = field_setup(doc)
     dom = setup.domain
     well = well_data(setup)
     gauge = gauge_from_field(setup, x_anchor=well.x0[0])
@@ -70,10 +62,10 @@ def _operator(args, doc, h, n):
 
 
 def _cmd_oracle(args, doc):
-    hs, = section(doc, "sweep", h=(number_list, SweepConfig.h_list))
+    hs = section(doc, "sweep")["sweep.h"]
     if not hs:
         raise ConfigError("sweep.h is empty; oracle takes its h from sweep.h[0]")
-    well = well_data(_setup_from(doc))
+    well = well_data(field_setup(doc))
     rows = [("well", "b0", "", float(well.b0)),
             ("well", "alpha1", "", float(well.alpha1)),
             ("well", "beta1", "", float(well.beta1)),
@@ -93,8 +85,7 @@ def _cmd_oracle(args, doc):
 
 
 def _cmd_solve(args, doc):
-    h, n, m, tol = section(doc, "solve", h=(number, 0.1), n=(integer, 0),
-                           m=(integer, 6), tol=(number, 1e-8))
+    h, n, m, tol = section(doc, "solve").values()
     well, gauge, grid, op = _operator(args, doc, h, n)
     res = smallest_eigenpairs(op, m, tol=tol, seed=doc["seed"])
     rows = [(j, float(res.eigenvalues[j]),
@@ -121,8 +112,7 @@ def _cmd_sweep(args, doc):
 
 
 def _cmd_quasimode(args, doc):
-    h, j, k, n = section(doc, "quasimode", h=(number, 0.05), j=(integer, 0),
-                         k=(integer, 0), n=(integer, 0))
+    h, j, k, n = section(doc, "quasimode").values()
     well, gauge, grid, op = _operator(args, doc, h, n)
     spec = QuasimodeSpec(well, j, k, h,
                          cutoff_radius=clipped_cutoff(well, h, grid.domain))
@@ -135,10 +125,8 @@ def _cmd_quasimode(args, doc):
 
 
 def _cmd_gaps(args, doc):
-    p, h, k, N, n, m, tol = section(
-        doc, "gaps", tiling=(integer, 3), h=(number, 0.05), k=(integer, 0),
-        N=(integer, 2), n=(integer, 384), m=(integer, None), tol=(number, 1e-8))
-    report = run_gap_experiment(base=_setup_from(doc), p=p, h=h, k=k, N=N,
+    p, h, k, N, n, m, tol = section(doc, "gaps").values()
+    report = run_gap_experiment(base=field_setup(doc), p=p, h=h, k=k, N=N,
                                 n=n, m=m, tol=tol, seed=doc["seed"])
     rows = [("window", report.window[0], report.window[1], "")]
     for lo, hi, center, width in report.clusters:
@@ -219,9 +207,11 @@ def main(argv=None) -> int:
     try:
         _check_writable(args.out)
         _check_writable(args.dump_matrix)
-        doc = {"seed": 0, **_load_config(args.config)}
+        doc = _load_config(args.config)
+        if args.seed is not None:
+            doc["seed"] = args.seed
         check_keys(doc)
-        doc["seed"] = integer(doc["seed"] if args.seed is None else args.seed, "seed")
+        doc["seed"] = section(doc, "")["seed"]
         header, rows, code = _COMMANDS[args.command](args, doc)
         write_table(header, rows, args.out or sys.stdout, args.format)
         return code

@@ -12,7 +12,7 @@ import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .quasimode import (QuasimodeSpec, build_leading_quasimode, clipped_cutoff,
 from .wellmodel import WellData, mu_jk2
 
 __all__ = [
-    "STANDARD_FIELD",
+    "SCHEMA",
+    "DEFAULTS",
     "SweepConfig",
     "SweepRecord",
     "FitResult",
@@ -44,28 +45,12 @@ __all__ = [
     "detect_gaps",
     "run_gap_experiment",
     "write_table",
-    "write_records",
 ]
 
 
-# The standard well as the "field" section of a configuration file.
-STANDARD_FIELD = {"b": "1 + x^2 + y^2", "domain": (-2.0, 2.0, -2.0, 2.0)}
-
-
-def standard_well() -> FieldSetup:
-    """Unit-depth quadratic well in a flat metric: b = 1 + x^2 + y^2."""
-    return FieldSetup(STANDARD_FIELD["b"], None,
-                      Rectangle(*STANDARD_FIELD["domain"]))
-
-
-def curved_well() -> FieldSetup:
-    """Same intensity well on a conformal metric with unit curvature at 0."""
-    return FieldSetup(STANDARD_FIELD["b"], "-(x^2 + y^2)/8",
-                      Rectangle(*STANDARD_FIELD["domain"]))
-
-
 # ---------------------------------------------------------------------------
-# configuration values: one check per type, shared by SweepConfig and the CLI
+# configuration: the checks, and one table of every key's check and default,
+# read by SweepConfig and every CLI command
 
 def number(value, name: str) -> float:
     """`value` as a float; it must be a finite JSON number."""
@@ -91,30 +76,53 @@ def number_list(value, name: str) -> tuple:
     return tuple(number(v, f"{name} entry") for v in value)
 
 
-def bounds(value, name: str) -> tuple:
-    """`value` as a domain (x_min, x_max, y_min, y_max) of four numbers."""
-    box = number_list(value, name)
-    if len(box) != 4:
-        raise ConfigError(f"{name} must be four numbers, got {value!r}")
-    return box
+def where(check, ok, what: str):
+    """`check`, after which ok(value) must hold: "{name} must be {what}"."""
+    def checked(value, name: str):
+        value = check(value, name)
+        if not ok(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    return checked
 
 
-def flag(value, name: str) -> bool:
-    """`value` itself; it must be true or false."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
+def optional(check):
+    """`check` that also takes null (None) for a key that is not set."""
+    return lambda value, name: None if value is None else check(value, name)
+
+
+def as_is(value, name: str):
+    """`value` itself: field.b and field.phi are checked by FieldSetup."""
     return value
 
 
-# every key a config file may hold, by section; "sweep.grid" is the object
-# "grid" inside "sweep", and "" is the top level
-CONFIG_KEYS = {"": ("field", "sweep", "solve", "quasimode", "gaps", "seed"),
-               "field": ("b", "phi", "domain"),
-               "sweep": ("h", "m", "tol", "richardson", "quasimode", "grid"),
-               "sweep.grid": ("c", "n_max", "n"),
-               "solve": ("h", "n", "m", "tol"),
-               "quasimode": ("h", "j", "k", "n"),
-               "gaps": ("tiling", "h", "k", "N", "n", "m", "tol")}
+flag = where(as_is, lambda v: isinstance(v, bool), "true or false")
+positive = where(number, lambda v: v > 0, "> 0")
+
+
+# every key a config file may hold, by dotted path ("sweep.grid.c" is "c" in
+# the object "grid" inside "sweep", "seed" is at the top level), with the
+# check a given value must pass and the value of a key left out
+SCHEMA = {
+    "field.b": (as_is, "1 + x^2 + y^2"), "field.phi": (as_is, None),
+    "field.domain": (where(number_list, lambda box: len(box) == 4, "four numbers"),
+                     (-2.0, 2.0, -2.0, 2.0)),  # (x_min, x_max, y_min, y_max)
+    "sweep.h": (where(number_list, lambda hs: all(a > b for a, b in zip(hs, hs[1:] + (0,))),
+                      "positive and strictly descending"), (0.1, 0.08, 0.06, 0.05)),
+    "sweep.m": (where(integer, lambda m: m >= 1, "at least 1"), 6),
+    "sweep.tol": (positive, 1e-8),
+    "sweep.richardson": (flag, True), "sweep.quasimode": (flag, True),
+    "sweep.grid.c": (positive, 0.5), "sweep.grid.n_max": (integer, 1024),
+    "sweep.grid.n": (optional(integer), None),
+    "solve.h": (number, 0.1), "solve.n": (integer, 0), "solve.m": (integer, 6),
+    "solve.tol": (number, 1e-8),
+    "quasimode.h": (number, 0.05), "quasimode.j": (integer, 0),
+    "quasimode.k": (integer, 0), "quasimode.n": (integer, 0),
+    "gaps.tiling": (integer, 3), "gaps.h": (number, 0.05), "gaps.k": (integer, 0),
+    "gaps.N": (integer, 2), "gaps.n": (integer, 384),
+    "gaps.m": (optional(integer), None), "gaps.tol": (number, 1e-8),
+    "seed": (where(integer, lambda s: s >= 0, "a non-negative integer"), 0)}
+DEFAULTS = {path: default for path, (_, default) in SCHEMA.items()}
 
 
 def _at(doc: dict, path: str) -> dict:
@@ -129,68 +137,73 @@ def _at(doc: dict, path: str) -> dict:
 
 
 def check_keys(doc: dict) -> None:
-    """Reject a section that is not an object and a key that CONFIG_KEYS
-    does not define."""
-    for path, keys in CONFIG_KEYS.items():
-        unknown = sorted(set(_at(doc, path)) - set(keys))
+    """Reject a section that is not an object, and a key on no SCHEMA path."""
+    known = {}
+    for path in SCHEMA:
+        parts = path.split(".")
+        for i, part in enumerate(parts):
+            known.setdefault(".".join(parts[:i]), set()).add(part)
+    for name, keys in known.items():
+        unknown = sorted(set(_at(doc, name)) - keys)
         if unknown:
-            name = f"{path}.{unknown[0]}" if path else unknown[0]
-            raise ConfigError(f"unknown config key {name}")
+            key = f"{name}.{unknown[0]}" if name else unknown[0]
+            raise ConfigError(f"unknown config key {key}")
 
 
-def section(doc: dict, name: str, **spec) -> list:
-    """Values of config section `name` in the order of `spec`, which maps each
-    key to (check, default): a given value must pass check(value, "name.key")."""
+def section(doc: dict, name: str) -> dict:
+    """Values of config section `name` ("" is the top level) by dotted key, in
+    table order: a given value must pass its check, a missing one is default."""
     sec = _at(doc, name)
-    return [check(sec[key], f"{name}.{key}") if key in sec else default
-            for key, (check, default) in spec.items()]
+    values = {}
+    for path, (check, default) in SCHEMA.items():
+        parent, _, key = path.rpartition(".")
+        if parent == name:
+            values[path] = check(sec[key], path) if key in sec else default
+    return values
+
+
+def field_setup(doc: dict) -> FieldSetup:
+    """The field of config `doc`'s "field" section."""
+    b, phi, domain = section(doc, "field").values()
+    return FieldSetup(b, phi, Rectangle(*domain))
+
+
+def standard_well() -> FieldSetup:
+    """Unit-depth quadratic well in a flat metric: b = 1 + x^2 + y^2."""
+    return field_setup({})
+
+
+def curved_well() -> FieldSetup:
+    """Same intensity well on a conformal metric with unit curvature at 0."""
+    return field_setup({"field": {"phi": "-(x^2 + y^2)/8"}})
 
 
 # ---------------------------------------------------------------------------
 # sweep configuration and records
 
-# the config key and the type check of each SweepConfig field; b and phi are
-# expressions, checked when the field is built
-_SWEEP_KEYS = {
-    "b": ("field.b", None), "phi": ("field.phi", None),
-    "domain": ("field.domain", bounds),
-    "h_list": ("sweep.h", number_list), "m": ("sweep.m", integer),
-    "tol": ("sweep.tol", number), "richardson": ("sweep.richardson", flag),
-    "quasimode": ("sweep.quasimode", flag), "grid_c": ("sweep.grid.c", number),
-    "n_max": ("sweep.grid.n_max", integer),
-    "n_fixed": ("sweep.grid.n", lambda v, key: v if v is None else integer(v, key)),
-    "seed": ("seed", integer)}
+def _key(path: str):
+    return field(default=DEFAULTS[path], metadata={"key": path})
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    b: str = STANDARD_FIELD["b"]
-    h_list: tuple = (0.1, 0.08, 0.06, 0.05)
-    phi: str = None
-    domain: tuple = STANDARD_FIELD["domain"]
-    m: int = 6
-    tol: float = 1e-8
-    grid_c: float = 0.5
-    n_max: int = 1024
-    n_fixed: int = None
-    richardson: bool = True
-    quasimode: bool = True
-    seed: int = 0
+    b: str = _key("field.b")
+    h_list: tuple = _key("sweep.h")
+    phi: str = _key("field.phi")
+    domain: tuple = _key("field.domain")
+    m: int = _key("sweep.m")
+    tol: float = _key("sweep.tol")
+    grid_c: float = _key("sweep.grid.c")
+    n_max: int = _key("sweep.grid.n_max")
+    n_fixed: int = _key("sweep.grid.n")
+    richardson: bool = _key("sweep.richardson")
+    quasimode: bool = _key("sweep.quasimode")
+    seed: int = _key("seed")
 
     def __post_init__(self):
-        for name, (key, check) in _SWEEP_KEYS.items():
-            if check is not None:
-                object.__setattr__(self, name, check(getattr(self, name), key))
-        if any(h <= 0 for h in self.h_list):
-            raise ConfigError("sweep.h entries must be positive")
-        if any(a <= b for a, b in zip(self.h_list, self.h_list[1:])):
-            raise ConfigError("sweep.h must be strictly descending")
-        if not self.tol > 0:
-            raise ConfigError("sweep.tol must be > 0")
-        if self.m < 1:
-            raise ConfigError("sweep.m must be at least 1")
-        if self.grid_c <= 0:
-            raise ConfigError("sweep.grid.c must be > 0")
+        for f in fields(self):
+            key = f.metadata["key"]
+            object.__setattr__(self, f.name, SCHEMA[key][0](getattr(self, f.name), key))
         pair = self.richardson and self.n_fixed is None
         if self.n_max < (_PAIR_N if pair else 32):
             raise ConfigError("sweep.grid.n_max must be at least " + (
@@ -198,17 +211,13 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
-        """Config from the "field" section, the "sweep" section and its "grid"
-        object, and the top-level "seed"; a key left out keeps its default,
-        and a key the config schema does not define is an error."""
+        """Config from the "field" and "sweep" sections and the top-level
+        "seed"; a key the config schema does not define is an error."""
         check_keys(doc)
-        values = {}
-        for name, (key, _) in _SWEEP_KEYS.items():
-            path, _, last = key.rpartition(".")
-            sec = _at(doc, path)
-            if last in sec:
-                values[name] = sec[last]
-        return cls(**values)
+        given = {}
+        for name in ("field", "sweep", "sweep.grid", ""):
+            given.update(section(doc, name))
+        return cls(**{f.name: given[f.metadata["key"]] for f in fields(cls)})
 
 
 @dataclass
@@ -229,7 +238,8 @@ class SweepRecord:
                     raise DomainError(f"non-finite {name} in sweep record")
 
 
-def grid_size(L: float, h: float, c: float = 0.5, n_max: int = 1024) -> int:
+def grid_size(L: float, h: float, c: float = DEFAULTS["sweep.grid.c"],
+              n_max: int = DEFAULTS["sweep.grid.n_max"]) -> int:
     """Grid-h coupling: n = ceil(L / (c*h^{5/4})), clamped to [32, n_max]."""
     if not h > 0:
         raise DomainError(f"h must be positive, got {h}")
@@ -454,7 +464,7 @@ class TiledField:
     quadrature crosses the (merely C^0) cell seams.
     """
 
-    def __init__(self, base: FieldSetup, p: int = 3):
+    def __init__(self, base: FieldSetup, p: int):
         if p < 1 or p % 2 == 0:
             raise DomainError("tiling order p must be a positive odd integer")
         cell = base.domain
@@ -522,8 +532,8 @@ class GapReport:
     message: str
 
 
-def detect_gaps(eigenvalues, h: float, well: WellData, k: int = 0,
-                N: int = 2) -> GapReport:
+def detect_gaps(eigenvalues, h: float, well: WellData, k: int = DEFAULTS["gaps.k"],
+                N: int = DEFAULTS["gaps.N"]) -> GapReport:
     """Cluster the spectrum inside the level-k window and report the gaps.
 
     Window: [(2k+1) h b0 + h^2 c_k, (2k+1) h b0 + h^2 C] with the gap
@@ -583,9 +593,11 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = 0,
                      passed=passed, message=msg)
 
 
-def run_gap_experiment(base: FieldSetup = None, p: int = 3, h: float = 0.05,
-                       k: int = 0, N: int = 2, n: int = 384, m: int = None,
-                       tol: float = 1e-8, seed: int = 0) -> GapReport:
+def run_gap_experiment(base: FieldSetup = None, p: int = DEFAULTS["gaps.tiling"],
+                       h: float = DEFAULTS["gaps.h"], k: int = DEFAULTS["gaps.k"],
+                       N: int = DEFAULTS["gaps.N"], n: int = DEFAULTS["gaps.n"],
+                       m: int = DEFAULTS["gaps.m"], tol: float = DEFAULTS["gaps.tol"],
+                       seed: int = DEFAULTS["seed"]) -> GapReport:
     """Assemble the p x p superlattice, solve, and run detect_gaps on the
     eigenvalues; a pair that fails its residual test raises DomainError."""
     if base is None:
@@ -603,8 +615,9 @@ def run_gap_experiment(base: FieldSetup = None, p: int = 3, h: float = 0.05,
 # ---------------------------------------------------------------------------
 # persistence
 
-_RECORD_COLUMNS = ["h", "j", "lambda_computed", "lambda_predicted",
-                   "solver_residual", "quasimode_residual", "n", "error"]
+def _plain(x):
+    """`x` for JSON, which has no NaN: NaN as None, written null."""
+    return None if isinstance(x, float) and math.isnan(x) else x
 
 
 def _fmt(x):
@@ -618,13 +631,13 @@ def write_table(header, rows, out, fmt: str = "csv") -> None:
 
     `out` is a file path or a writable text stream.  CSV writes floats as
     .17g and None as an empty field, so re-runs are byte-identical; JSON is
-    indented by 2 and ends with a newline.
+    indented by 2, writes NaN as null and ends with a newline.
     """
     own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
     with open(out, "w", newline="") if own else contextlib.nullcontext(out) as fh:
         if fmt == "json":
-            json.dump([dict(zip(header, row)) for row in rows], fh,
-                      indent=2, default=float)
+            json.dump([{key: _plain(v) for key, v in zip(header, row)}
+                       for row in rows], fh, indent=2, default=float)
             fh.write("\n")
         else:
             writer = csv.writer(fh, lineterminator="\n")
@@ -634,9 +647,6 @@ def write_table(header, rows, out, fmt: str = "csv") -> None:
 
 def record_table(records) -> tuple:
     """(header, rows) of sweep records for write_table, one row per record."""
-    return _RECORD_COLUMNS, [[getattr(r, c) for c in _RECORD_COLUMNS] for r in records]
+    header = [f.name for f in fields(SweepRecord)]
+    return header, [[getattr(r, c) for c in header] for r in records]
 
-
-def write_records(records, out, fmt: str = "csv") -> None:
-    """Write sweep records through write_table."""
-    write_table(*record_table(records), out, fmt)

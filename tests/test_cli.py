@@ -130,6 +130,9 @@ class TestErrorHandling:
         ("gaps", {"gaps": {"p": 3}}, 2),
         ("quasimode", {"quasimode": {"m": 2}}, 2),
         ("oracle", {"solve": {"h": 0.1}, "gaps": []}, 2),
+        ("solve", {"seed": -1}, 2),
+        ("sweep", {"seed": -3}, 2),
+        ("gaps", {"seed": -3}, 2),
     ])
     def test_bad_section_values_exit_with_message(self, capsys, tmp_path,
                                                   command, doc, code):
@@ -156,12 +159,21 @@ class TestErrorHandling:
          "field.domain must"),
         ("sweep", {"sweep": {"h": [0.2], "grid": {"n_max": 32}}},
          "sweep.grid.n_max must be at least 64 for a Richardson pair"),
+        ("oracle", {"sweep": {"h": [-0.1]}}, "sweep.h must be positive"),
+        ("oracle", {"sweep": {"h": [0.05, 0.1]}},
+         "sweep.h must be positive and strictly descending"),
     ])
     def test_errors_name_the_config_key(self, capsys, tmp_path, command, doc, key):
         cfg = write_config(tmp_path, doc)
         got, out, err = run(capsys, command, "--config", cfg)
         assert got == 2 and out == ""
         assert err.startswith(f"error: {key}")
+
+    def test_negative_seed_flag_exits_2(self, capsys):
+        # the --seed flag passes the config's check of "seed"
+        code, out, err = run(capsys, "solve", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: seed must be a non-negative integer")
 
     def test_oracle_accepts_a_full_sweep_section(self, capsys, tmp_path):
         # oracle reads only sweep.h, but every sweep key is a known key
@@ -316,6 +328,20 @@ class TestSweep:
         assert code == 0
         doc = json.loads(dest.read_text())
         assert {d["j"] for d in doc} == {0, 1}
+
+    def test_json_output_has_no_nan(self, capsys, tmp_path):
+        # JSON (RFC 8259) has no NaN: the residual of j >= 1 is written null
+        cfg = write_config(tmp_path, {"sweep": {"h": [0.2], "m": 2,
+                                                "grid": {"n": 32}}})
+        code, out, err = run(capsys, "sweep", "--config", cfg, "--format", "json")
+        assert code == 0, err
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        rows = json.loads(out, parse_constant=reject)
+        assert [r["j"] for r in rows] == [0, 1]
+        assert rows[0]["quasimode_residual"] > 0
+        assert rows[1]["quasimode_residual"] is None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_coarse_h_pair_is_two_grids(self, capsys, tmp_path):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -12,11 +14,12 @@ import scipy.integrate
 from magspec import experiments
 from magspec.discretize import Grid
 from magspec.errors import ConfigError, DomainError
-from magspec.experiments import (GapReport, SweepConfig, SweepRecord,
-                                 TiledField, curved_well, detect_gaps,
+from magspec.experiments import (DEFAULTS, SCHEMA, GapReport, SweepConfig,
+                                 SweepRecord, TiledField, check_keys,
+                                 curved_well, detect_gaps,
                                  fit_expansion, grid_size, montgomery_check,
-                                 richardson, run_sweep, standard_well,
-                                 write_records)
+                                 record_table, richardson, run_sweep,
+                                 section, standard_well, write_table)
 from magspec.fieldgeom import FieldSetup, Rectangle, gauge_from_field
 from magspec.wellmodel import WellData, mu_jk2
 
@@ -146,6 +149,37 @@ class TestSweepConfig:
         # is rejected with the non-numbers, and the error names the config key
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}\b"):
             SweepConfig(b="1", **bad)
+
+    def test_negative_seed_is_a_config_error(self):
+        # numpy's generators take only non-negative seeds
+        with pytest.raises(ConfigError, match="^seed must be a non-negative"):
+            SweepConfig(seed=-1)
+
+
+def _flatten(doc, prefix=""):
+    """{dotted key: value} of a config; lists become tuples."""
+    flat = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = tuple(value) if isinstance(value, list) else value
+    return flat
+
+
+def test_readme_schema_block_is_the_table():
+    # the JSON block under "Config schema" documents every key's default
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"Config schema.*?```json\n(.*?)```", readme.read_text(),
+                      re.S).group(1)
+    doc = json.loads(block)
+    flat = _flatten(doc)
+    assert set(flat) == set(SCHEMA)
+    assert flat == DEFAULTS
+    check_keys(doc)
+    for name in {path.rpartition(".")[0] for path in SCHEMA}:
+        assert section(doc, name) == section({}, name)
+    assert SweepConfig.from_dict(doc) == SweepConfig()
 
 
 class TestRichardson:
@@ -468,12 +502,12 @@ class TestPersistence:
     def test_csv_reruns_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:
-            write_records(self._records(), p)
+            write_table(*record_table(self._records()), p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_csv_shape_and_error_column(self):
         buf = io.StringIO()
-        write_records(self._records(), buf)
+        write_table(*record_table(self._records()), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0].split(",")[:3] == ["h", "j", "lambda_computed"]
         assert lines[0].split(",")[-1] == "error"
@@ -483,9 +517,9 @@ class TestPersistence:
     def test_json_round_trip(self, tmp_path):
         import json
         p = tmp_path / "r.json"
-        write_records(self._records(), p, "json")
+        write_table(*record_table(self._records()), p, "json")
         q = tmp_path / "r2.json"
-        write_records(self._records(), q, "json")
+        write_table(*record_table(self._records()), q, "json")
         assert p.read_bytes() == q.read_bytes()
         doc = json.loads(p.read_text().replace("NaN", "null"))
         assert doc[0]["lambda_computed"] == 0.11511230046014553
