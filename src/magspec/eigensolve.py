@@ -78,7 +78,9 @@ real Lanczos) then run in real arithmetic, and each kept vector r maps back
 to Q r.  `EigenResult.real` is True when every block did.  A field
 symmetric under P but not under the mirror (a rotated well,
 1 + 3x^2 + 2xy + 2y^2) keeps complex blocks, and the one-block path stays
-complex.
+complex.  A split request holds only the blocks' forms: Hs and the complex
+blocks are freed before the first factor, except a block whose gate
+refuses, which is its own form.
 
 `EigenResult.shift` records the shift-invert shift of the run that was kept
 (of two blocks, the lower), `count_shift` the shift of the count that
@@ -316,13 +318,11 @@ def _real_form(B, tol: float, grid, odd: bool):
     return (Q.conj().T @ (0.5 * (B + SBS)) @ Q).real.tocsc(), Q
 
 
-def _split_pairs(blocks, runs, m: int, tol: float, seed: int, grid):
-    """`_run`'s tuple for the m smallest pairs of Hs from its `_parity_blocks`
-    by the union rule (module docstring), each block in its `_real_form` where
-    the gate admits it, and whether every block did.  vecs is one
-    Fortran-ordered (dim, m) array: each kept block vector embedded as an
-    even or odd grid function."""
-    forms = [_real_form(blocks[b], tol, grid, b == 1) for b in (0, 1)]
+def _split_pairs(forms, runs, m: int, tol: float, seed: int, grid):
+    """`_run`'s tuple for the m smallest pairs of Hs from the `_real_form`s
+    of its `_parity_blocks` by the union rule (module docstring), and whether
+    every block ran in real arithmetic.  vecs is one Fortran-ordered (dim, m)
+    array: each kept block vector embedded as an even or odd grid function."""
     wants = [m // 2 + m % 2 + 1] * 2
     out = [_run(f[0], runs, wants[0], tol, seed) for f in forms]
     solves = out[0][2] + out[1][2]
@@ -381,13 +381,19 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
                                       and m >= _SPLIT_SMALL_M
                                       and n >= _SPLIT_SMALL_DIM)
     blocks = _parity_blocks(Hs, tol) if split else None
-    vals, vecs, solves, sigma, count_shift, real = (
-        (*_run(Hs, runs, m, tol, seed), False) if blocks is None
-        else _split_pairs(blocks, runs, m, tol, seed, op.grid))
-    del Hs  # not needed by the back-transform
-    if blocks is None:
+    split = blocks is not None
+    if not split:
+        vals, vecs, solves, sigma, count_shift = _run(Hs, runs, m, tol, seed)
+        del Hs  # not needed by the back-transform
         order = np.argsort(key(vals))[:m]
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs, real = vals[order], vecs[:, order], False
+    else:
+        del Hs  # the split solve holds only the forms (module docstring)
+        forms = [_real_form(B, tol, op.grid, odd == 1)
+                 for odd, B in enumerate(blocks)]
+        del blocks
+        vals, vecs, solves, sigma, count_shift, real = _split_pairs(
+            forms, runs, m, tol, seed, op.grid)
     vals = np.asarray(vals, dtype=float)
 
     # back-transform: v = M^{-1/2} v_sym is M-orthonormal
@@ -405,7 +411,7 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
                        converged=res <= tol,
                        shift=float(sigma),
                        count_shift=count_shift,
-                       blocks=1 if blocks is None else 2,
+                       blocks=2 if split else 1,
                        real=real)
 
 

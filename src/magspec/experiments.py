@@ -98,6 +98,9 @@ def as_is(value, name: str):
 
 flag = where(as_is, lambda v: isinstance(v, bool), "true or false")
 positive = where(number, lambda v: v > 0, "> 0")
+at_least_one = where(integer, lambda v: v >= 1, "at least 1")
+non_negative = where(integer, lambda v: v >= 0, "a non-negative integer")
+solver_tol = where(number, lambda v: v >= 1e-13, ">= 1e-13 in double precision")
 
 
 # every key a config file may hold, by dotted path ("sweep.grid.c" is "c" in
@@ -109,19 +112,19 @@ SCHEMA = {
                      (-2.0, 2.0, -2.0, 2.0)),  # (x_min, x_max, y_min, y_max)
     "sweep.h": (where(number_list, lambda hs: all(a > b for a, b in zip(hs, hs[1:] + (0,))),
                       "positive and strictly descending"), (0.1, 0.08, 0.06, 0.05)),
-    "sweep.m": (where(integer, lambda m: m >= 1, "at least 1"), 6),
+    "sweep.m": (at_least_one, 6),
     "sweep.tol": (positive, 1e-8),
     "sweep.richardson": (flag, True), "sweep.quasimode": (flag, True),
     "sweep.grid.c": (positive, 0.5), "sweep.grid.n_max": (integer, 1024),
     "sweep.grid.n": (optional(integer), None),
-    "solve.h": (number, 0.1), "solve.n": (integer, 0), "solve.m": (integer, 6),
-    "solve.tol": (number, 1e-8),
-    "quasimode.h": (number, 0.05), "quasimode.j": (integer, 0),
-    "quasimode.k": (integer, 0), "quasimode.n": (integer, 0),
-    "gaps.tiling": (integer, 3), "gaps.h": (number, 0.05), "gaps.k": (integer, 0),
+    "solve.h": (number, 0.1), "solve.n": (integer, 0), "solve.m": (at_least_one, 6),
+    "solve.tol": (solver_tol, 1e-8),
+    "quasimode.h": (number, 0.05), "quasimode.j": (non_negative, 0),
+    "quasimode.k": (non_negative, 0), "quasimode.n": (integer, 0),
+    "gaps.tiling": (integer, 3), "gaps.h": (number, 0.05), "gaps.k": (non_negative, 0),
     "gaps.N": (integer, 2), "gaps.n": (integer, 384),
-    "gaps.m": (optional(integer), None), "gaps.tol": (number, 1e-8),
-    "seed": (where(integer, lambda s: s >= 0, "a non-negative integer"), 0)}
+    "gaps.m": (optional(at_least_one), None), "gaps.tol": (solver_tol, 1e-8),
+    "seed": (non_negative, 0)}
 DEFAULTS = {path: default for path, (_, default) in SCHEMA.items()}
 
 

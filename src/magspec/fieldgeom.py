@@ -8,7 +8,9 @@ primitive of B whenever b is polynomial and phi constant, and a fixed
 composite Gauss-Legendre rule otherwise: B is integrated over each cell
 between consecutive x-breakpoints (nodes and anchor) and y-nodes, 8 x 8 nodes
 per segment of at most half a unit, and the y-edge integrals are the cells'
-sums outward from the anchor.  They match the exact gauge's on the standard
+sums outward from the anchor.  B is evaluated on blocks of whole x-intervals
+of at most 2^20 points (or one interval, if it holds more), which bounds the
+memory on fine grids; each cell is summed as in one call.  They match the exact gauge's on the standard
 well, and 2-D adaptive quadrature on coarse nodes of the curved well, to
 4e-15 (the integrals reach 0.4).
 """
@@ -204,6 +206,7 @@ def well_data(setup: FieldSetup) -> WellData:
 
 _CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(8)  # per segment
 _CELL_SEGMENT = 0.5  # widest segment of a gauge cell
+_CELL_BLOCK = 2 ** 20  # most points of B in one call (a block of x-intervals)
 
 
 def _cell_rule(breaks):
@@ -301,8 +304,18 @@ def gauge_from_field(setup: FieldSetup, x_anchor=None) -> GaugePotential:
         xb = np.unique(np.append(xs, x0))
         sx, wx, cx = _cell_rule(xb)
         sy, wy, cy = _cell_rule(ys)
-        vals = Bfun(sx[:, None], sy[None, :]) * wy
-        cells = np.add.reduceat(wx[:, None] * np.add.reduceat(vals, cy, axis=1), cx, axis=0)
+        # B on whole x-intervals i..k-1 at a time, so each cell's sum is
+        # formed as in one call
+        starts, rows = np.append(cx, sx.size), max(1, _CELL_BLOCK // sy.size)
+        cells = np.empty((cx.size, cy.size))
+        i = 0
+        while i < cx.size:
+            k = max(i + 1, np.searchsorted(starts, starts[i] + rows, "right") - 1)
+            lo, hi = starts[i], starts[k]
+            vals = Bfun(sx[lo:hi, None], sy[None, :]) * wy
+            cells[i:k] = np.add.reduceat(wx[lo:hi, None] * np.add.reduceat(vals, cy, axis=1),
+                                         cx[i:k] - lo, axis=0)
+            i = k
         a = np.searchsorted(xb, x0)
         prim = np.zeros((xb.size, ys.size - 1))
         prim[a + 1:] = np.cumsum(cells[a:], axis=0)

@@ -133,6 +133,8 @@ class TestErrorHandling:
         ("solve", {"seed": -1}, 2),
         ("sweep", {"seed": -3}, 2),
         ("gaps", {"seed": -3}, 2),
+        # a range that depends on the grid is the solver's: m > dim/4
+        ("solve", {"solve": {"n": 32, "m": 300}}, 1),
     ])
     def test_bad_section_values_exit_with_message(self, capsys, tmp_path,
                                                   command, doc, code):
@@ -162,6 +164,16 @@ class TestErrorHandling:
         ("oracle", {"sweep": {"h": [-0.1]}}, "sweep.h must be positive"),
         ("oracle", {"sweep": {"h": [0.05, 0.1]}},
          "sweep.h must be positive and strictly descending"),
+        ("solve", {"solve": {"tol": -1}}, "solve.tol must be >= 1e-13"),
+        ("solve", {"solve": {"tol": 1e-14}}, "solve.tol must be >= 1e-13"),
+        ("solve", {"solve": {"m": 0}}, "solve.m must be at least 1"),
+        ("gaps", {"gaps": {"m": 0}}, "gaps.m must be at least 1"),
+        ("gaps", {"gaps": {"tol": -1}}, "gaps.tol must be >= 1e-13"),
+        ("gaps", {"gaps": {"k": -1}}, "gaps.k must be a non-negative integer"),
+        ("quasimode", {"quasimode": {"j": -1}},
+         "quasimode.j must be a non-negative integer"),
+        ("quasimode", {"quasimode": {"k": -1}},
+         "quasimode.k must be a non-negative integer"),
     ])
     def test_errors_name_the_config_key(self, capsys, tmp_path, command, doc, key):
         cfg = write_config(tmp_path, doc)

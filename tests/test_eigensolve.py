@@ -2,6 +2,7 @@
 a dense reference, its contracts, certification and invariance."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -626,6 +627,30 @@ class TestSplitSmallRequest:
                          tol=1e-14, return_eigenvectors=False)
         np.testing.assert_allclose(res.eigenvalues, np.sort(ref)[:6],
                                    rtol=1e-11, atol=0)
+
+    def test_split_solve_holds_only_the_forms(self, monkeypatch):
+        # Hs and both complex blocks are garbage once the real forms are
+        # built: none is alive at any factor of the split solve
+        f = curved_well()
+        op = assemble(f, gauge_from_field(f, x_anchor=0.0),
+                      Grid(f.domain, 64, 64), 0.2)
+        refs, alive = [], []
+        parity_blocks, factor = es._parity_blocks, es._factor
+
+        def blocks_spy(Hs, tol):
+            blocks = parity_blocks(Hs, tol)
+            refs.extend(weakref.ref(A) for A in (Hs, *blocks))
+            return blocks
+
+        def factor_spy(A, sigma, inertia):
+            alive.append([r() is not None for r in refs])
+            return factor(A, sigma, inertia)
+        monkeypatch.setattr(es, "_parity_blocks", blocks_spy)
+        monkeypatch.setattr(es, "_factor", factor_spy)
+        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        assert res.blocks == 2 and res.real and np.all(res.converged)
+        assert len(refs) == 3 and len(alive) >= 4
+        assert not any(any(a) for a in alive), alive
 
     def test_gate_admits_roundoff_not_a_breaking_entry(self):
         # at n = 192 the roundoff in Hs - P Hs P is 1.1e-12, within tol / 10

@@ -1,11 +1,13 @@
 """Field geometry: minima, curvature, well data, gauge potentials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+import magspec.fieldgeom as fg
 from magspec.discretize import Grid
 from magspec.errors import ConfigError, DomainError
 from magspec.experiments import TiledField, curved_well, standard_well
@@ -221,6 +223,69 @@ class TestGaugeFromField:
         assert g.x_anchor == pytest.approx(0.3, abs=1e-10)
         edges = g.y_edge_integrals([g.x_anchor], np.linspace(-1.5, 1.7, 9))
         assert np.abs(edges).max() <= 1e-15
+
+
+def one_shot_edges(Bfun, xs, ys, x0):
+    """The quadrature gauge's y-edge integrals with B evaluated at every
+    point in one call: the cells of `_cell_rule`, summed from the anchor."""
+    xb = np.unique(np.append(xs, x0))
+    sx, wx, cx = fg._cell_rule(xb)
+    sy, wy, cy = fg._cell_rule(ys)
+    vals = Bfun(sx[:, None], sy[None, :]) * wy
+    cells = np.add.reduceat(wx[:, None] * np.add.reduceat(vals, cy, axis=1), cx, axis=0)
+    a = np.searchsorted(xb, x0)
+    prim = np.zeros((xb.size, ys.size - 1))
+    prim[a + 1:] = np.cumsum(cells[a:], axis=0)
+    prim[:a] = -np.cumsum(cells[:a][::-1], axis=0)[::-1]
+    return prim[np.searchsorted(xb, xs)]
+
+
+class TestStreamedQuadrature:
+    """B is evaluated on blocks of whole x-intervals, at most _CELL_BLOCK
+    points per call: the integrals are those of one call, bit for bit."""
+
+    @staticmethod
+    def anchors(xs, x_max):
+        k = xs.size // 3
+        return {"node": xs[k], "between": 0.5 * (xs[k] + xs[k + 1]),
+                "beyond": x_max + 0.3}
+
+    @pytest.mark.parametrize("n", [56, 200, 339, 401])
+    @pytest.mark.parametrize("where", ["node", "between", "beyond"])
+    def test_blocks_equal_one_call(self, n, where):
+        s = curved_well()
+        grid = Grid(s.domain, n, n)
+        x0 = self.anchors(grid.xs, s.domain.x_max)[where]
+        got = gauge_from_field(s, x_anchor=x0).y_edge_integrals(grid.xs, grid.ys)
+        np.testing.assert_array_equal(got, one_shot_edges(s.B, grid.xs, grid.ys, x0))
+
+    @pytest.mark.parametrize("block", [1, 100, 2 ** 20])
+    @pytest.mark.parametrize("where", ["node", "between", "beyond"])
+    def test_coarse_nonuniform_blocks_equal_one_call(self, monkeypatch, block, where):
+        # intervals wider than _CELL_SEGMENT hold several segments, so the
+        # blocks (one interval each at a limit of 1 point) end unevenly
+        s = curved_well()
+        xs = np.array([-1.9, -0.7, 0.0, 0.45, 0.45, 1.3, 2.0])
+        ys = np.array([-1.8, -1.5, -0.2, 0.1, 1.9])
+        assert np.diff(xs).max() > fg._CELL_SEGMENT
+        x0 = self.anchors(xs, s.domain.x_max)[where]
+        monkeypatch.setattr(fg, "_CELL_BLOCK", block)
+        got = gauge_from_field(s, x_anchor=x0).y_edge_integrals(xs, ys)
+        np.testing.assert_array_equal(got, one_shot_edges(s.B, xs, ys, x0))
+
+    def test_peak_memory_is_bounded(self):
+        # the curved workload's 339 x 339 grid (h = 0.05): one call for all
+        # 7.3M points of B peaks at about 170 MB
+        s = curved_well()
+        g = gauge_from_field(s, x_anchor=0.0)
+        grid = Grid(s.domain, 339, 339)
+        tracemalloc.start()
+        try:
+            g.y_edge_integrals(grid.xs, grid.ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48e6
 
 
 class TestTransformedGauge:
