@@ -34,24 +34,27 @@ by Sylvester's law they are its nonpositive U-diagonal entries (Grimes, Lewis
 
 The parity split.  The experiments' fields are unchanged by the rotation by
 pi about the domain centre, on a centred grid the index reversal P (node
-k -> dim-1-k).  If the symmetry gate admits E = Hs - P Hs P, two kinds of
-request are solved as an even and an odd block of half the size
-(`_parity_blocks`, `blocks` = 2): one that starts with the full certified
-run (m >= 25), and a certified small request (first run "above") for
-6 <= m <= 24 pairs on at least 4,096 unknowns.  Each block runs the
-request's whole run list (small request, full request, floor) for its
-m_b = ceil(m/2) + 1 smallest pairs, as one block keeps m of m + 5.  The
-union's values up to T, the smaller of the two m_b-th values, answer if at
-least m; else the block that set T runs again with m_b = m.  Other requests
-are one block.  A split small request makes about 1.7 times the solves of
-one block, each on a half-size real block (below), but factors each block
-twice (the Krylov factor and the count), which on large grids takes as long
-as one block's two complex factors: the split pays where the Krylov loop
-weighs, at m >= 6.  Split time over one block's on the standard well at
-h = 0.1 (2 CPUs, medians of 3 to 7): for m = 6, 1.3 at 256 and 576 unknowns,
+k -> dim-1-k).  If the symmetry gate admits E = Hs - P Hs P, a request for
+m >= 25 pairs, or for m >= 6 on at least 4,096 unknowns, is solved as an
+even and an odd block of half the size (`_parity_blocks`, `blocks` = 2),
+at the bottom or near a target alike: the rule reads m and dim, not the
+request's runs.  Each block runs the whole run list (small request, full
+request, floor; or the run at the target) for its m_b = ceil(m/2) + 1
+pairs first in the request's order (smallest, or nearest the target), as
+one block keeps m of m + 5.  The union's pairs up to T, the nearer of the
+two m_b-th, answer if at least m; else the block that set T runs again
+with m_b = m.  Other requests are one block, whose first m pairs answer.
+A split small request makes about 1.7 times the solves of one block, each
+on a half-size real block (below), but factors each block twice (the
+Krylov factor and the count), which on large grids takes as long as one
+block's two complex factors: the split pays where the Krylov loop weighs,
+at m >= 6.  Split time over one block's on the standard well at h = 0.1
+(2 CPUs, medians of 3 to 7): for m = 6, 1.3 at 256 and 576 unknowns,
 0.78-1.13 from 1,024 to 3,600, 0.72-0.86 from 4,096 to 131,044 and
 0.78-0.93 at 262,144; for m = 12 and 24, 0.48-0.77 from 4,096 to 262,144;
 for m = 1 to 5, 0.67-1.02 from 4,096 to 131,044 but 0.95-1.14 at 262,144.
+Near a target there is no count: ACCEPTANCE 6's 12 pairs near a rung on
+143^2 to 544^2 nodes took 18.6 s split, 22.7 s on one block (medians of 3).
 
 The symmetry gate admits a defect E (Hs - P Hs P, or a block's, below) if
 sqrt(||E||_1 ||E||_inf) <= tol/10.  What is solved is the averaged operator
@@ -318,40 +321,45 @@ def _real_form(B, tol: float, grid, odd: bool):
     return (Q.conj().T @ (0.5 * (B + SBS)) @ Q).real.tocsc(), Q
 
 
-def _split_pairs(forms, runs, m: int, tol: float, seed: int, grid):
-    """`_run`'s tuple for the m smallest pairs of Hs from the `_real_form`s
-    of its `_parity_blocks` by the union rule (module docstring), and whether
-    every block ran in real arithmetic.  vecs is one Fortran-ordered (dim, m)
+def _union_pairs(forms, runs, m: int, tol: float, seed: int, grid, key):
+    """`_run`'s tuple for the m pairs of Hs first by `key(vals)` from its
+    one or two block `forms` by the union rule (module docstring), and
+    whether every block ran in real arithmetic.  One block's kept columns are
+    taken as they are; two blocks' vecs is one Fortran-ordered (dim, m)
     array: each kept block vector embedded as an even or odd grid function."""
-    wants = [m // 2 + m % 2 + 1] * 2
-    out = [_run(f[0], runs, wants[0], tol, seed) for f in forms]
-    solves = out[0][2] + out[1][2]
+    wants = [m] if len(forms) == 1 else [m // 2 + m % 2 + 1] * 2
+    out = [_run(f[0], runs, k, tol, seed) for f, k in zip(forms, wants)]
+    solves = sum(o[2] for o in out)
     while True:
-        kept = [np.argsort(o[0])[:k] for o, k in zip(out, wants)]
-        tops = [o[0][i[-1]] for o, i in zip(out, kept)]
+        kept = [np.argsort(key(o[0]))[:k] for o, k in zip(out, wants)]
+        tops = [key(o[0][i[-1]]) for o, i in zip(out, kept)]
         vals = np.concatenate([o[0][i] for o, i in zip(out, kept)])
-        below, short = np.flatnonzero(vals <= min(tops)), int(np.argmin(tops))
+        below = np.flatnonzero(key(vals) <= min(tops))
         if below.size >= m:
             break
+        short = int(np.argmin(tops))
         if wants[short] == m:
             raise DomainError(f"parity blocks gave {below.size} of {m} pairs")
         wants[short], out[short] = m, _run(forms[short][0], runs, m, tol, seed)
         solves += out[short][2]
-    order = below[np.argsort(vals[below], kind="stable")][:m]
-    dim, ne, s = grid.size, kept[0].size, np.sqrt(0.5)
-    h = dim // 2
-    vecs = np.zeros((dim, m), dtype=complex, order="F")
-    for b, ((_, vb, *_), i, (_, Q)) in enumerate(zip(out, kept, forms)):
-        cols = np.flatnonzero((order < ne) == (b == 0))
-        for at in range(0, cols.size, 16):  # 16 columns bound the temporaries
-            part = cols[at:at + 16]
-            src = vb[:, i[order[part] - b * ne]]
-            if Q is not None:
-                src = Q @ src
-            vecs[:h, part] = s * src[:h]
-            vecs[dim - h:, part] = (1 - 2 * b) * s * src[h - 1::-1]
-            if dim % 2 and b == 0:
-                vecs[h, part] = src[h]
+    order = below[np.argsort(key(vals[below]), kind="stable")][:m]
+    if len(forms) == 1:
+        vecs = out[0][1][:, kept[0][order]]
+    else:
+        dim, ne, s = grid.size, kept[0].size, np.sqrt(0.5)
+        h = dim // 2
+        vecs = np.zeros((dim, m), dtype=complex, order="F")
+        for b, ((_, vb, *_), i, (_, Q)) in enumerate(zip(out, kept, forms)):
+            cols = np.flatnonzero((order < ne) == (b == 0))
+            for at in range(0, cols.size, 16):  # 16 columns bound temporaries
+                part = cols[at:at + 16]
+                src = vb[:, i[order[part] - b * ne]]
+                if Q is not None:
+                    src = Q @ src
+                vecs[:h, part] = s * src[:h]
+                vecs[dim - h:, part] = (1 - 2 * b) * s * src[h - 1::-1]
+                if dim % 2 and b == 0:
+                    vecs[h, part] = src[h]
     counts = [o[4] for o in out]
     return (vals[order], vecs, solves, min(o[3] for o in out),
             None if None in counts else min(counts),
@@ -364,10 +372,8 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     whose certificate holds, ordered by `key(vals)`.
 
     `runs` are (shift, count) requests for `_arpack_near`; the last one is
-    uncertified, so it answers if no earlier one does; `_split_pairs` answers
-    when Hs has `_parity_blocks` and the first run is the full certified one,
-    or the small request for at least `_SPLIT_SMALL_M` pairs on at least
-    `_SPLIT_SMALL_DIM` unknowns.
+    uncertified, so it answers if no earlier one does.  `_union_pairs`
+    answers from Hs or, by the split rule (module docstring), its blocks.
     Each pair is certified by its residual ||H v - lambda M v|| / ||M v|| <= tol.
     """
     if not tol >= 1e-13:  # also NaN, which would never converge
@@ -377,24 +383,17 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
         raise DomainError(f"m must be in [1, dim/4], got {m} for dim {n}")
     d = 1.0 / np.sqrt(op.M)
     Hs = (sp.diags(d) @ op.H @ sp.diags(d)).tocsc()
-    split = runs[0][1] == "sigma" or (runs[0][1] == "above"
-                                      and m >= _SPLIT_SMALL_M
-                                      and n >= _SPLIT_SMALL_DIM)
+    split = m >= 25 or (m >= _SPLIT_SMALL_M and n >= _SPLIT_SMALL_DIM)
     blocks = _parity_blocks(Hs, tol) if split else None
     split = blocks is not None
-    if not split:
-        vals, vecs, solves, sigma, count_shift = _run(Hs, runs, m, tol, seed)
-        del Hs  # not needed by the back-transform
-        order = np.argsort(key(vals))[:m]
-        vals, vecs, real = vals[order], vecs[:, order], False
-    else:
-        del Hs  # the split solve holds only the forms (module docstring)
-        forms = [_real_form(B, tol, op.grid, odd == 1)
-                 for odd, B in enumerate(blocks)]
-        del blocks
-        vals, vecs, solves, sigma, count_shift, real = _split_pairs(
-            forms, runs, m, tol, seed, op.grid)
-    vals = np.asarray(vals, dtype=float)
+    forms = [] if split else [(Hs, None)]
+    del Hs  # a split solve holds only the blocks' forms (module docstring)
+    forms += [_real_form(B, tol, op.grid, odd == 1)
+              for odd, B in enumerate(blocks or ())]
+    del blocks
+    vals, vecs, solves, sigma, count_shift, real = _union_pairs(
+        forms, runs, m, tol, seed, op.grid, key)
+    del forms  # not needed by the back-transform
 
     # back-transform: v = M^{-1/2} v_sym is M-orthonormal
     vecs *= d[:, None]

@@ -121,8 +121,8 @@ def polynomial_B(setup: FieldSetup):
     return {k: scale * v for k, v in bpoly.items()}
 
 
-def locate_minimum(setup: FieldSetup):
-    """Find the interior non-degenerate minimum of b by grid scan + Newton."""
+def _minimum(setup: FieldSetup):
+    """`locate_minimum`'s point (x0, y0) and the Hessian of b there."""
     bx = ex.differentiate(setup.b_expr, "x")
     by = ex.differentiate(setup.b_expr, "y")
     bxx = ex.differentiate(bx, "x")
@@ -166,7 +166,12 @@ def locate_minimum(setup: FieldSetup):
                   [ex.evaluate(bxy, *p), ex.evaluate(byy, *p)]], dtype=float)
     if np.linalg.eigvalsh(H).min() <= 0:
         raise DomainError("no non-degenerate interior minimum found (Hessian not positive definite)")
-    return float(p[0]), float(p[1])
+    return (float(p[0]), float(p[1])), H
+
+
+def locate_minimum(setup: FieldSetup):
+    """Find the interior non-degenerate minimum of b by grid scan + Newton."""
+    return _minimum(setup)[0]
 
 
 def scalar_curvature(setup: FieldSetup, p) -> float:
@@ -184,13 +189,7 @@ def well_data(setup: FieldSetup) -> WellData:
     intensity b; this equals the paper-normal-form data whenever phi and its
     gradient vanish at the minimum (true for all presets).
     """
-    x0 = locate_minimum(setup)
-    bx = ex.differentiate(setup.b_expr, "x")
-    by = ex.differentiate(setup.b_expr, "y")
-    H = np.array([
-        [ex.evaluate(ex.differentiate(bx, "x"), *x0), ex.evaluate(ex.differentiate(bx, "y"), *x0)],
-        [ex.evaluate(ex.differentiate(by, "x"), *x0), ex.evaluate(ex.differentiate(by, "y"), *x0)],
-    ], dtype=float)
+    x0, H = _minimum(setup)
     if abs(H[0, 1]) <= 1e-12 * (1 + abs(H).max()):
         # axis-aligned well: keep the x/y association of the coefficients
         alpha1, beta1 = 0.5 * H[0, 0], 0.5 * H[1, 1]

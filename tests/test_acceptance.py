@@ -15,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from magspec.discretize import Grid, assemble, field_mass, magnetic_form
+from magspec.discretize import Grid, assemble
 from magspec.eigensolve import (eigenpairs_near, nearest_eigenvalue,
                                 smallest_eigenpairs)
 from magspec.experiments import (SweepConfig, fit_expansion, grid_size,
-                                 richardson, run_gap_experiment, run_sweep,
-                                 standard_well)
+                                 montgomery_check, richardson,
+                                 run_gap_experiment, run_sweep, standard_well)
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
                                gauge_from_field, well_data)
 from magspec.hermite import (hermite_norm_sq, hermite_poly, moment_table,
@@ -78,7 +78,7 @@ def landau_solve():
     grid = Grid(setup.domain, n, n)
     op = assemble(setup, gauge, grid, 0.1)
     low = eigenpairs_near(op, 0.1, 6, tol=1e-8)
-    return setup, grid, op, low
+    return setup, gauge, grid, op, low
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_acceptance_01_flat_model_oracle(capfd):
 
 
 def test_acceptance_02_landau_levels(capfd, landau_solve):
-    setup, grid, op, low = landau_solve
+    setup, gauge, grid, op, low = landau_solve
     lam0, dist0 = nearest_eigenvalue(low, 0.1)
     exc = eigenpairs_near(op, 0.3, 6, tol=1e-8)
     lam1, dist1 = nearest_eigenvalue(exc, 0.3)
@@ -277,13 +277,14 @@ def test_acceptance_07_hermite_identity_suite(capfd):
 def test_acceptance_08_quadratic_form_lower_bound(capfd, std_ctx,
                                                   std_solve_005, landau_solve):
     setup, well, gauge = std_ctx
-    grid, op, res = std_solve_005
-    ratios = [magnetic_form(op, v)
-              / (0.05 * field_mass(setup, grid, v))
-              for v in res.eigenvectors.T]
-    lsetup, lgrid, lop, low = landau_solve
-    v0 = low.eigenvectors[:, 0]
-    const_ratio = magnetic_form(lop, v0) / (0.1 * field_mass(lsetup, lgrid, v0))
+    grid, _, res = std_solve_005
+    ratios = montgomery_check(setup, grid, 0.05, trials=res.eigenvectors.T,
+                              n_random=0, gauge=gauge).ratios
+    # b = 1 has no isolated minimum to anchor a default gauge at
+    lsetup, lgauge, lgrid, _, low = landau_solve
+    const_ratio, = montgomery_check(lsetup, lgrid, 0.1,
+                                    trials=[low.eigenvectors[:, 0]],
+                                    n_random=0, gauge=lgauge).ratios
     ok = min(ratios) >= 0.98 and abs(const_ratio - 1.0) <= 0.02
     _report(capfd, 8, ok,
             f"min eigenvector ratio {min(ratios):.4f} (need >=0.98), "

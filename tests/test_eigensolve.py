@@ -463,6 +463,19 @@ class TestParitySplit:
         np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 28),
                                    rtol=1e-12, atol=0)
 
+    def test_floor_only_request_splits(self):
+        # 3x3 tiling on 24x24 at h = 0.05 aliases the field, so the only run
+        # is the uncertified one at the floor: m = 30 still splits
+        tiled = TiledField(standard_well(), 3)
+        with pytest.warns(UserWarning, match="flux per plaquette"):
+            op = assemble(tiled, tiled.gauge(), Grid(tiled.domain, 24, 24), 0.05)
+        assert op.bottom == op.floor
+        res = smallest_eigenpairs(op, 30, tol=1e-10)
+        assert res.blocks == 2 and res.shift == op.floor
+        assert res.count_shift is None and np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, dense_reference(op, 30),
+                                   rtol=1e-12, atol=0)
+
 
 class TestRealForm:
     """Each parity block of a field that is also even in y is solved as a
@@ -667,21 +680,27 @@ class TestSplitSmallRequest:
                              shape=Hs.shape)
         assert es._parity_blocks(Hs + bump, 1e-10) is None
 
-    @pytest.mark.parametrize("n, m", [(63, 6), (64, 5)],
-                             ids=["dim3969", "m5"])
-    def test_below_threshold_runs_one_block(self, n, m):
+    @pytest.mark.parametrize(
+        "n, m, near", [(63, 6, False), (64, 5, False), (63, 6, True),
+                       (64, 5, True)],
+        ids=["dim3969", "m5", "dim3969-near", "m5-near"])
+    def test_below_threshold_runs_one_block(self, n, m, near):
         # 63 x 63 = 3,969 unknowns, or m = 5, below the 4,096 unknowns and 6
-        # pairs at which a small request splits: one block, bit for bit
-        # `_run` on Hs
+        # pairs at which a request for fewer than 25 pairs splits, at the
+        # bottom or near a target: one block, bit for bit `_run` on Hs
         op = std_operator(n, h=0.5)
         Hs = symmetrized(op)
         assert es._parity_blocks(Hs, 1e-10) is not None
-        res = smallest_eigenpairs(op, m, tol=1e-10)
-        sigma = op.floor + es._BELOW_BOTTOM * (op.bottom - op.floor)
-        vals, vecs, solves, shift, count = es._run(
-            Hs, [(sigma, "above"), (sigma, "sigma"), (op.floor, None)], m,
-            1e-10, 0)
-        order = np.argsort(vals)[:m]
+        if near:
+            res = eigenpairs_near(op, 2.7, m, tol=1e-10)
+            runs, key = [(2.7, None)], lambda v: np.abs(v - 2.7)
+        else:
+            res = smallest_eigenpairs(op, m, tol=1e-10)
+            sigma = op.floor + es._BELOW_BOTTOM * (op.bottom - op.floor)
+            runs = [(sigma, "above"), (sigma, "sigma"), (op.floor, None)]
+            key = lambda v: v
+        vals, vecs, solves, shift, count = es._run(Hs, runs, m, 1e-10, 0)
+        order = np.argsort(key(vals))[:m]
         vecs = vecs[:, order] * (1.0 / np.sqrt(op.M))[:, None]
         Mv = op.M[:, None] * vecs
         r = np.linalg.norm(op.H @ vecs - vals[order][None, :] * Mv, axis=0)
@@ -706,6 +725,49 @@ class TestEigenpairsNear:
         op = std_operator(12, h=0.1)
         res = eigenpairs_near(op, 0.15, 3)
         assert np.all(res.residuals <= 1e-10)
+
+    def test_interior_request_splits_in_real_blocks(self):
+        # 4,096 unknowns and m = 6 near 2.7, between the 10th and 11th
+        # levels (2.610 and 2.932): two real parity blocks, each keeping its
+        # 4 pairs nearest the target, and the union's 6 nearest answer
+        op = std_operator(64, h=0.5)
+        res = eigenpairs_near(op, 2.7, 6, tol=1e-10)
+        assert res.blocks == 2 and res.real and np.all(res.converged)
+        assert res.shift == 2.7 and res.count_shift is None
+        ref = spla.eigsh(symmetrized(op), k=12, sigma=2.7, which="LM",
+                         tol=1e-14, return_eigenvectors=False)
+        ref = ref[np.argsort(np.abs(ref - 2.7))[:6]]
+        np.testing.assert_allclose(res.eigenvalues, ref, rtol=1e-12, atol=0)
+        V = res.eigenvectors
+        assert V.flags.f_contiguous
+        G = V.conj().T @ (op.M[:, None] * V)
+        assert np.abs(G - np.eye(6)).max() <= 1e-10
+        even = np.linalg.norm(V[::-1] - V, axis=0)
+        odd = np.linalg.norm(V[::-1] + V, axis=0)
+        assert np.all(np.minimum(even, odd) <= 1e-10 * np.linalg.norm(V, axis=0))
+
+    def test_short_block_reruns_near_a_shell(self, monkeypatch):
+        # m = 25 near 1.30, in oscillator shell 6: each block keeps its 14
+        # values nearest the target, and the union up to the nearer block
+        # top holds fewer than 25, so that block runs again with m_b = 25;
+        # the 25th and 26th nearest levels lie 0.031 apart
+        op = oscillator_operator()
+        calls, real = [], es._arpack_near
+
+        def spy(Hs, sigma, m, tol, seed, count=None):
+            calls.append((Hs, m))
+            return real(Hs, sigma, m, tol, seed, count)
+        monkeypatch.setattr(es, "_arpack_near", spy)
+        res = eigenpairs_near(op, 1.3, 25, tol=1e-10)
+        assert [c[1] for c in calls] == [14, 14, 25]
+        assert calls[2][0] is calls[0][0] or calls[2][0] is calls[1][0]
+        assert res.blocks == 2 and res.real and np.all(res.converged)
+        full = dense_reference(op, op.dim)
+        dist = np.abs(full - 1.3)
+        assert np.sort(dist)[25] - np.sort(dist)[24] > 0.03
+        np.testing.assert_allclose(res.eigenvalues,
+                                   full[np.argsort(dist)[:25]],
+                                   rtol=1e-12, atol=0)
 
 
 class TestPartialConvergence:
