@@ -47,9 +47,6 @@ class Expression:
 
     __slots__ = ()
 
-    def __call__(self, x, y):
-        return evaluate(self, x, y)
-
 
 @dataclass(frozen=True)
 class Num(Expression):
@@ -254,93 +251,42 @@ def evaluate(e: Expression, x, y):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# ---------------------------------------------------------------------------
-# simplifying constructors, used by the differentiator to keep trees small
-
-def _num(v):
-    return Num(float(v))
-
-
-def _add(a, b):
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value + b.value)
-    if isinstance(a, Num) and a.value == 0:
-        return b
-    if isinstance(b, Num) and b.value == 0:
-        return a
-    return BinOp("+", a, b)
-
-
-def _sub(a, b):
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value - b.value)
-    if isinstance(b, Num) and b.value == 0:
-        return a
-    if isinstance(a, Num) and a.value == 0:
-        return Neg(b)
-    return BinOp("-", a, b)
-
-
-def _mul(a, b):
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value * b.value)
-    for u, v in ((a, b), (b, a)):
-        if isinstance(u, Num):
-            if u.value == 0:
-                return _num(0.0)
-            if u.value == 1:
-                return v
-    return BinOp("*", a, b)
-
-
-def _div(a, b):
-    if isinstance(a, Num) and a.value == 0:
-        return _num(0.0)
-    if isinstance(b, Num) and b.value == 1:
-        return a
-    return BinOp("/", a, b)
-
-
 def differentiate(e: Expression, var: str) -> Expression:
-    """Exact symbolic derivative of *e* with respect to 'x' or 'y'."""
+    """Exact symbolic derivative of *e* with respect to 'x' or 'y'.
+
+    The tree is not simplified: derivatives are only evaluated at single
+    points (Newton's steps and the curvature), where its size costs little."""
     if var not in ("x", "y"):
         raise ValueError("var must be 'x' or 'y'")
     if isinstance(e, Num):
-        return _num(0.0)
+        return Num(0.0)
     if isinstance(e, Var):
-        return _num(1.0 if e.name == var else 0.0)
+        return Num(1.0 if e.name == var else 0.0)
     if isinstance(e, Neg):
-        d = differentiate(e.arg, var)
-        return _num(0.0) if isinstance(d, Num) and d.value == 0 else Neg(d)
+        return Neg(differentiate(e.arg, var))
     if isinstance(e, Pow):
-        d = differentiate(e.base, var)
-        if e.exponent == 0:
-            return _num(0.0)
-        inner = Pow(e.base, e.exponent - 1) if e.exponent != 1 else _num(1.0)
-        if e.exponent == 2:
-            inner = e.base
-        return _mul(_mul(_num(e.exponent), inner), d)
+        if e.exponent == 0:  # not n * base^(n-1), which is 0 * inf at base = 0
+            return Num(0.0)
+        return BinOp("*", BinOp("*", Num(float(e.exponent)), Pow(e.base, e.exponent - 1)),
+                     differentiate(e.base, var))
     if isinstance(e, Call):
-        d = differentiate(e.arg, var)
         if e.fn == "exp":
             outer = e
         elif e.fn == "sin":
             outer = Call("cos", e.arg)
         else:  # cos
             outer = Neg(Call("sin", e.arg))
-        return _mul(outer, d)
+        return BinOp("*", outer, differentiate(e.arg, var))
     if isinstance(e, BinOp):
         da = differentiate(e.left, var)
         db = differentiate(e.right, var)
-        if e.op == "+":
-            return _add(da, db)
-        if e.op == "-":
-            return _sub(da, db)
+        if e.op in "+-":
+            return BinOp(e.op, da, db)
         if e.op == "*":
-            return _add(_mul(da, e.right), _mul(e.left, db))
+            return BinOp("+", BinOp("*", da, e.right), BinOp("*", e.left, db))
         # quotient rule
-        num = _sub(_mul(da, e.right), _mul(e.left, db))
-        return _div(num, Pow(e.right, 2))
+        return BinOp("/", BinOp("-", BinOp("*", da, e.right), BinOp("*", e.left, db)),
+                     Pow(e.right, 2))
     raise TypeError(f"not an expression node: {e!r}")
 
 

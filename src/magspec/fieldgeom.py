@@ -81,11 +81,11 @@ def _expression(e, name):
 class FieldSetup:
     """Validated pair of expressions (b, phi) on a rectangle.
 
-    The metric is g = e^{2 phi} (dx^2 + dy^2); b must be positive on the
-    domain (checked on a sampling grid at construction).
+    The metric is g = e^{2 phi} (dx^2 + dy^2), flat for phi None; b must be
+    positive on the domain (checked on a sampling grid at construction).
     """
 
-    def __init__(self, b_expr, phi_expr=None, domain=Rectangle(-3.0, 3.0, -3.0, 3.0)):
+    def __init__(self, b_expr, phi_expr, domain):
         self.b_expr = _expression(b_expr, "b")
         self.phi_expr = ex.Num(0.0) if phi_expr is None else _expression(phi_expr, "phi")
         self.domain = domain
@@ -123,11 +123,14 @@ def polynomial_B(setup: FieldSetup):
 
 def _minimum(setup: FieldSetup):
     """`locate_minimum`'s point (x0, y0) and the Hessian of b there."""
-    bx = ex.differentiate(setup.b_expr, "x")
-    by = ex.differentiate(setup.b_expr, "y")
-    bxx = ex.differentiate(bx, "x")
+    bx, by = ex.differentiate(setup.b_expr, "x"), ex.differentiate(setup.b_expr, "y")
     bxy = ex.differentiate(bx, "y")
-    byy = ex.differentiate(by, "y")
+    hess = ((ex.differentiate(bx, "x"), bxy), (bxy, ex.differentiate(by, "y")))
+
+    def derivatives(p):
+        """Gradient and Hessian of b at p."""
+        return (np.array([ex.evaluate(bx, *p), ex.evaluate(by, *p)], dtype=float),
+                np.array([[ex.evaluate(d, *p) for d in row] for row in hess], dtype=float))
 
     X, Y = setup.domain.sample_grid(64)
     vals = np.broadcast_to(ex.evaluate(setup.b_expr, X, Y), X.shape)
@@ -146,9 +149,7 @@ def _minimum(setup: FieldSetup):
 
     p = p_best.copy()
     for _ in range(60):
-        g = np.array([ex.evaluate(bx, *p), ex.evaluate(by, *p)], dtype=float)
-        H = np.array([[ex.evaluate(bxx, *p), ex.evaluate(bxy, *p)],
-                      [ex.evaluate(bxy, *p), ex.evaluate(byy, *p)]], dtype=float)
+        g, H = derivatives(p)
         det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
         if abs(det) < 1e-13 * (1 + abs(H).max()) ** 2:
             raise DomainError("no non-degenerate interior minimum found (singular Hessian)")
@@ -159,11 +160,9 @@ def _minimum(setup: FieldSetup):
         if np.linalg.norm(step) < 1e-14 * (1 + np.linalg.norm(p)):
             break
     bval = float(ex.evaluate(setup.b_expr, *p))
-    g = np.array([ex.evaluate(bx, *p), ex.evaluate(by, *p)], dtype=float)
+    g, H = derivatives(p)
     if np.linalg.norm(g) > 1e-10 * (1 + abs(bval)):
         raise DomainError("no non-degenerate interior minimum found (Newton did not converge)")
-    H = np.array([[ex.evaluate(bxx, *p), ex.evaluate(bxy, *p)],
-                  [ex.evaluate(bxy, *p), ex.evaluate(byy, *p)]], dtype=float)
     if np.linalg.eigvalsh(H).min() <= 0:
         raise DomainError("no non-degenerate interior minimum found (Hessian not positive definite)")
     return (float(p[0]), float(p[1])), H
@@ -185,11 +184,12 @@ def scalar_curvature(setup: FieldSetup, p) -> float:
 def well_data(setup: FieldSetup) -> WellData:
     """WellData at the located minimum: b0, half-Hessian eigendata, curvature.
 
-    alpha1, beta1 are the eigenvalues of half the coordinate Hessian of the
-    intensity b; this equals the paper-normal-form data whenever phi and its
-    gradient vanish at the minimum (true for all presets).
+    alpha1, beta1 are the eigenvalues of half the Hessian of b in the metric,
+    e^{-2 phi(x0)} times the coordinate one: at a critical point of b the
+    Christoffel terms drop out, so the gradient of phi does not matter.
     """
     x0, H = _minimum(setup)
+    H = H * math.exp(-2.0 * float(ex.evaluate(setup.phi_expr, *x0)))
     if abs(H[0, 1]) <= 1e-12 * (1 + abs(H).max()):
         # axis-aligned well: keep the x/y association of the coefficients
         alpha1, beta1 = 0.5 * H[0, 0], 0.5 * H[1, 1]
@@ -279,12 +279,9 @@ class TransformedGauge:
         return self.base.y_edge_integrals(xs, ys) + (c[:, 1:] - c[:, :-1])
 
     def x_edge_integrals(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        c = self._chi(xs[:, None], ys[None, :])
-        base = getattr(self.base, "x_edge_integrals", None)
-        out = c[1:, :] - c[:-1, :]
-        return out if base is None else out + base(xs, ys)
+        """chi's differences alone: the base gauge has A1 = 0."""
+        c = self._chi(np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[None, :])
+        return c[1:, :] - c[:-1, :]
 
 
 def gauge_from_field(setup: FieldSetup, x_anchor=None) -> GaugePotential:

@@ -292,6 +292,17 @@ class TestSolve:
         assert code == 0 and out == ""
         assert csv_rows(dest.read_text())[0][0] == "j"
 
+    def test_prediction_on_a_constant_conformal_factor(self, capsys, tmp_path):
+        # phi = 0.3 scales the metric Hessian of b by e^{-0.6}: the h^2 terms
+        # are (2j + 2) e^{-0.6}, not 2j + 2; the gaps left are third order
+        h = 0.05
+        cfg = write_config(tmp_path, {"field": {"phi": "0.3"},
+                                      "solve": {"h": h, "m": 3}})
+        code, out, err = run(capsys, "solve", "--config", cfg)
+        assert code == 0, err
+        for row in csv_rows(out)[1:]:
+            assert abs(float(row[1]) - float(row[2])) <= 0.5 * h * h, row
+
 
 @pytest.mark.parametrize("command, sec", [
     ("solve", {"solve": {"h": 0.5, "m": 2}}),
@@ -331,6 +342,14 @@ class TestSweep:
         lam = {float(r[0]): float(r[2]) for r in rows[1:] if r[1] == "0"}
         assert lam[0.08] < lam[0.1]
         assert "fit j=0" in err  # fit diagnostics go to stderr, not stdout
+
+    def test_fit_line(self, capsys, tmp_path):
+        # four h values leave the fit a degree of freedom, so it succeeds
+        cfg = write_config(tmp_path, {"sweep": {"h": [0.2, 0.16, 0.13, 0.11], "m": 2,
+                                                "quasimode": False, "grid": {"n": 32}}})
+        code, _, err = run(capsys, "sweep", "--config", cfg)
+        assert code == 0, err
+        assert "fit j=0: c1=" in err
 
     def test_json_output(self, capsys, tmp_path):
         cfg = write_config(tmp_path, self.CFG)
@@ -386,6 +405,20 @@ class TestQuasimode:
         code, out, err = run(capsys, "quasimode", "--config", cfg)
         assert code == 0, err
         assert len(csv_rows(out)) == 1 + 60 * 120
+
+
+def test_gaps_rows(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"gaps": {"tiling": 3, "h": 0.05, "N": 2, "n": 96}})
+    code, out, err = run(capsys, "gaps", "--config", cfg)
+    assert code == 0, err
+    rows = csv_rows(out)
+    assert rows[0] == ["kind", "lo", "hi", "extra"]
+    assert rows[1][0] == "window"
+    gaps = [r for r in rows[2:] if r[0] == "gap"]
+    assert gaps
+    for _, lo, hi, extra in gaps:
+        assert float(extra) == float(hi) - float(lo)
+    assert "dominating gaps" in err
 
 
 def test_check_identities(capsys):
