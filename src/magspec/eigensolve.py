@@ -92,14 +92,16 @@ each proves its block complete below its own; None if any answer is
 uncertified), and `iterations` the shift-invert solves of every run of
 every block.
 
-`EigenResult.eigenvectors` is one (dim, m) complex array: column i is the
-eigenvector of eigenvalues[i], a grid function in the x-major layout of
-`discretize`, and the columns are M-orthonormal.
+A solve keeps each block's kept columns and Q, and embeds 16 columns at a
+time for the residuals.  `EigenResult.eigenvectors` is built on first read:
+a Fortran-ordered (dim, m) complex array of M-orthonormal columns, column i
+the eigenvector of eigenvalues[i] as a grid function (`discretize`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,7 +130,6 @@ _SPLIT_SMALL_DIM = 4096
 @dataclass
 class EigenResult:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # (dim, m), M-orthonormal columns
     # ||H v - lambda M v|| / ||M v||: the M^{-1} norm of the residual only
     # for a constant M, so not on a curved metric
     residuals: np.ndarray
@@ -141,9 +142,15 @@ class EigenResult:
     count_shift: float = None
     blocks: int = 1  # 2 when solved as two parity blocks
     real: bool = False  # every block's Krylov loop ran in real arithmetic
+    _columns: callable = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return self.eigenvalues.size
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """(dim, m), M-orthonormal columns, built on first read."""
+        return self._columns(np.arange(len(self)))
 
 
 def _factor(Hs, sigma: float, inertia: bool):
@@ -321,12 +328,12 @@ def _real_form(B, tol: float, grid, odd: bool):
     return (Q.conj().T @ (0.5 * (B + SBS)) @ Q).real.tocsc(), Q
 
 
-def _union_pairs(forms, runs, m: int, tol: float, seed: int, grid, key):
-    """`_run`'s tuple for the m pairs of Hs first by `key(vals)` from its
-    one or two block `forms` by the union rule (module docstring), and
-    whether every block ran in real arithmetic.  One block's kept columns are
-    taken as they are; two blocks' vecs is one Fortran-ordered (dim, m)
-    array: each kept block vector embedded as an even or odd grid function."""
+def _union_pairs(forms, runs, m: int, tol: float, seed: int, key):
+    """The m pairs of Hs first by `key(vals)` from its one or two block
+    `forms` by the union rule (module docstring): their values; `order`, the
+    index of each answer in the blocks' kept columns, concatenated; each
+    block's kept columns with its form's Q; then `_run`'s solves, shift and
+    count shift, and whether every block ran in real arithmetic."""
     wants = [m] if len(forms) == 1 else [m // 2 + m % 2 + 1] * 2
     out = [_run(f[0], runs, k, tol, seed) for f, k in zip(forms, wants)]
     solves = sum(o[2] for o in out)
@@ -343,25 +350,10 @@ def _union_pairs(forms, runs, m: int, tol: float, seed: int, grid, key):
         wants[short], out[short] = m, _run(forms[short][0], runs, m, tol, seed)
         solves += out[short][2]
     order = below[np.argsort(key(vals[below]), kind="stable")][:m]
-    if len(forms) == 1:
-        vecs = out[0][1][:, kept[0][order]]
-    else:
-        dim, ne, s = grid.size, kept[0].size, np.sqrt(0.5)
-        h = dim // 2
-        vecs = np.zeros((dim, m), dtype=complex, order="F")
-        for b, ((_, vb, *_), i, (_, Q)) in enumerate(zip(out, kept, forms)):
-            cols = np.flatnonzero((order < ne) == (b == 0))
-            for at in range(0, cols.size, 16):  # 16 columns bound temporaries
-                part = cols[at:at + 16]
-                src = vb[:, i[order[part] - b * ne]]
-                if Q is not None:
-                    src = Q @ src
-                vecs[:h, part] = s * src[:h]
-                vecs[dim - h:, part] = (1 - 2 * b) * s * src[h - 1::-1]
-                if dim % 2 and b == 0:
-                    vecs[h, part] = src[h]
     counts = [o[4] for o in out]
-    return (vals[order], vecs, solves, min(o[3] for o in out),
+    return (vals[order], order,
+            [(o[1][:, i], f[1]) for o, i, f in zip(out, kept, forms)],
+            solves, min(o[3] for o in out),
             None if None in counts else min(counts),
             all(f[1] is not None for f in forms))
 
@@ -391,27 +383,45 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     forms += [_real_form(B, tol, op.grid, odd == 1)
               for odd, B in enumerate(blocks or ())]
     del blocks
-    vals, vecs, solves, sigma, count_shift, real = _union_pairs(
-        forms, runs, m, tol, seed, op.grid, key)
-    del forms  # not needed by the back-transform
+    vals, order, kept, solves, sigma, count_shift, real = _union_pairs(
+        forms, runs, m, tol, seed, key)
+    del forms  # each block's R; its columns map back through Q alone
+    half, ne, s = n // 2, kept[0][0].shape[1], np.sqrt(0.5)
 
-    # back-transform: v = M^{-1/2} v_sym is M-orthonormal
-    vecs *= d[:, None]
+    def columns(cols):
+        """Answers `cols` as grid functions v = M^{-1/2} v_sym: one block's
+        columns as they are, two blocks' embedded as even or odd ones."""
+        if len(kept) == 1:
+            v = kept[0][0][:, order[cols]]
+        else:
+            v = np.zeros((n, cols.size), dtype=complex, order="F")
+            for b, (vb, Q) in enumerate(kept):
+                part = np.flatnonzero((order[cols] < ne) == (b == 0))
+                src = vb[:, order[cols[part]] - b * ne]
+                if Q is not None:
+                    src = Q @ src
+                v[:half, part] = s * src[:half]
+                v[n - half:, part] = (1 - 2 * b) * s * src[half - 1::-1]
+                if n % 2 and b == 0:
+                    v[half, part] = src[half]
+        v *= d[:, None]
+        return v
+
     res = np.empty(m)  # 16 columns at a time bound the temporaries
     for cols in np.array_split(np.arange(m), -(-m // 16)):
-        v = vecs[:, cols[0]:cols[-1] + 1]
+        v = columns(cols)
         Mv = op.M[:, None] * v
         res[cols] = np.linalg.norm(op.H @ v - vals[None, cols] * Mv, axis=0)
         res[cols] /= np.linalg.norm(Mv, axis=0)
     return EigenResult(eigenvalues=vals,
-                       eigenvectors=vecs,
                        residuals=res,
                        iterations=solves,
                        converged=res <= tol,
                        shift=float(sigma),
                        count_shift=count_shift,
                        blocks=2 if split else 1,
-                       real=real)
+                       real=real,
+                       _columns=columns)
 
 
 def smallest_eigenpairs(op: AssembledOperator, m: int, tol: float = 1e-10,

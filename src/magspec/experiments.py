@@ -12,7 +12,7 @@ import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -530,6 +530,7 @@ class TiledField:
 class GapReport:
     window: tuple
     clusters: tuple  # ((lo, hi, center, width), ...)
+    sizes: tuple     # eigenvalues in each cluster
     gaps: tuple      # ((lo, hi), ...)
     passed: bool
     message: str
@@ -543,8 +544,9 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = DEFAULTS["gaps.k
     constant c_k = mu_jk2(well, 0, k), the bottom of the level-k ladder, and
     C = c_k + (2N+2) * 2 sqrt(d)/b0, covering at least N+1 ladder rungs.
     Clusters are maximal runs of eigenvalues separated by more than 5x the
-    in-cluster spread (with a floor of 1% of the rung spacing); the report
-    passes when at least N gaps each exceed 3x the widest adjacent cluster.
+    in-cluster spread (with a floor of 1% of the rung spacing), each reported
+    with its span and its number of eigenvalues; the report passes when at
+    least N gaps each exceed 3x the widest adjacent cluster.
     When the largest eigenvalue given lies inside the window, its cluster
     may hold only part of its states, so it is left out, and the message
     says so.
@@ -564,8 +566,8 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = DEFAULTS["gaps.k
     hi_eff = hi - 0.5 * h * h * spacing
     inside = vals[(vals >= lo_eff) & (vals <= hi_eff)]
     if N == 0:
-        return GapReport(window=(lo, hi), clusters=(), gaps=(), passed=True,
-                         message="N = 0: nothing to check")
+        return GapReport(window=(lo, hi), clusters=(), sizes=(), gaps=(),
+                         passed=True, message="N = 0: nothing to check")
     if inside.size == 0:
         raise DomainError("window empty -- decrease h or enlarge m")
 
@@ -592,7 +594,8 @@ def detect_gaps(eigenvalues, h: float, well: WellData, k: int = DEFAULTS["gaps.k
         msg += (f"; left out the top cluster at {cut.mean():.6g} ({cut.size} "
                 f"computed), which holds the largest eigenvalue and may be "
                 f"incomplete")
-    return GapReport(window=(lo, hi), clusters=summaries, gaps=gaps,
+    return GapReport(window=(lo, hi), clusters=summaries,
+                     sizes=tuple(c.size for c in clusters), gaps=gaps,
                      passed=passed, message=msg)
 
 
@@ -602,7 +605,9 @@ def run_gap_experiment(base: FieldSetup = None, p: int = DEFAULTS["gaps.tiling"]
                        m: int = DEFAULTS["gaps.m"], tol: float = DEFAULTS["gaps.tol"],
                        seed: int = DEFAULTS["seed"]) -> GapReport:
     """Assemble the p x p superlattice, solve, and run detect_gaps on the
-    eigenvalues; a pair that fails its residual test raises DomainError."""
+    eigenvalues; a pair that fails its residual test raises DomainError.
+    The message warns if a reported cluster holds other than p^2 values,
+    one state per well."""
     if base is None:
         base = standard_well()
     tiled = TiledField(base, p)
@@ -612,7 +617,12 @@ def run_gap_experiment(base: FieldSetup = None, p: int = DEFAULTS["gaps.tiling"]
     if m is None:
         m = (2 * N + 3) * p * p + 10
     res = _certified(smallest_eigenpairs(op, m, tol=tol, seed=seed))
-    return detect_gaps(res.eigenvalues, h, well, k=k, N=N)
+    report = detect_gaps(res.eigenvalues, h, well, k=k, N=N)
+    if any(size != p * p for size in report.sizes):
+        report = replace(report, message=(
+            f"{report.message}; warning: cluster sizes "
+            f"{', '.join(map(str, report.sizes))}, expected {p * p} each"))
+    return report
 
 
 # ---------------------------------------------------------------------------

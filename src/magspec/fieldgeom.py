@@ -189,7 +189,8 @@ def well_data(setup: FieldSetup) -> WellData:
     Christoffel terms drop out, so the gradient of phi does not matter.
     """
     x0, H = _minimum(setup)
-    H = H * math.exp(-2.0 * float(ex.evaluate(setup.phi_expr, *x0)))
+    phi0 = float(ex.evaluate(setup.phi_expr, *x0))
+    H = H * math.exp(-2.0 * phi0)
     if abs(H[0, 1]) <= 1e-12 * (1 + abs(H).max()):
         # axis-aligned well: keep the x/y association of the coefficients
         alpha1, beta1 = 0.5 * H[0, 0], 0.5 * H[1, 1]
@@ -197,7 +198,7 @@ def well_data(setup: FieldSetup) -> WellData:
         alpha1, beta1 = np.linalg.eigvalsh(0.5 * H)
     return WellData(b0=float(ex.evaluate(setup.b_expr, *x0)),
                     alpha1=float(alpha1), beta1=float(beta1),
-                    R0=scalar_curvature(setup, x0), x0=x0)
+                    R0=scalar_curvature(setup, x0), x0=x0, phi0=phi0)
 
 
 # ---------------------------------------------------------------------------

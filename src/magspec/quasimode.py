@@ -104,10 +104,14 @@ def build_leading_quasimode(spec: QuasimodeSpec, grid: Grid, gauge=None,
     x1 = (grid.xs - x0) / sq
     y1 = (grid.ys - y0) / sq
 
-    # transverse oscillator (frequency b0) and effective xi-oscillator
-    x2_basis = OscillatorBasis(beta=1.0, gamma=well.b0 ** 2)
-    xi_basis = OscillatorBasis(beta=(2 * spec.k + 1) * well.beta1,
-                               gamma=(2 * spec.k + 1) * well.alpha1 / well.b0 ** 2)
+    # in coordinates the well's field is B0 = e^{2 phi0} b0 and its half-Hessian
+    # e^{4 phi0} (alpha1, beta1), as for the flat field e^{2 phi0} b
+    g = math.exp(2.0 * well.phi0)
+    b0, alpha1, beta1 = g * well.b0, g * g * well.alpha1, g * g * well.beta1
+    # transverse oscillator (frequency B0) and effective xi-oscillator
+    x2_basis = OscillatorBasis(beta=1.0, gamma=b0 ** 2)
+    xi_basis = OscillatorBasis(beta=(2 * spec.k + 1) * beta1,
+                               gamma=(2 * spec.k + 1) * alpha1 / b0 ** 2)
     om_xi = xi_basis.frequency
 
     # xi grid: cover the Gaussian tail and resolve e^{i y1 xi} up to the cutoff
@@ -123,7 +127,7 @@ def build_leading_quasimode(spec: QuasimodeSpec, grid: Grid, gauge=None,
     dxi = xi[1] - xi[0]
 
     # u0 on (xi_m, x1_i): psi_k(x1 - xi/b0) * Psi_jk(xi)
-    x2 = x1[None, :] - xi[:, None] / well.b0
+    x2 = x1[None, :] - xi[:, None] / b0
     U = (oscillator_eigenfunction(x2_basis, spec.k, x2)
          * oscillator_eigenfunction(xi_basis, spec.j, xi)[:, None])
 

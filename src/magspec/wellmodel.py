@@ -34,8 +34,8 @@ class WellData:
     """Local model of the magnetic well.
 
     b0 is the field minimum, (alpha1, beta1) the eigenvalues of half the
-    Hessian of the intensity b at the minimum, R0 the scalar curvature there
-    and x0 the location of the minimum.
+    Hessian of the intensity b at the minimum, R0 the scalar curvature there,
+    x0 the location of the minimum and phi0 the conformal factor phi(x0).
     """
 
     b0: float
@@ -43,6 +43,7 @@ class WellData:
     beta1: float
     R0: float = 0.0
     x0: tuple = (0.0, 0.0)
+    phi0: float = 0.0
 
     def __post_init__(self):
         if not (self.b0 > 0):

@@ -406,6 +406,15 @@ class TestQuasimode:
         assert code == 0, err
         assert len(csv_rows(out)) == 1 + 60 * 120
 
+    def test_state_sized_by_the_coordinate_field(self, capsys, tmp_path):
+        # with phi = 0.3 the well's coordinate field is e^{0.6} b0; a state
+        # sized by b0 left a residual of 9.9e-2, against 1.9e-2 at phi = 0
+        cfg = write_config(tmp_path, {"field": {"phi": "0.3"},
+                                      "quasimode": {"h": 0.05, "n": 128}})
+        code, _, err = run(capsys, "quasimode", "--config", cfg)
+        assert code == 0, err
+        assert float(re.search(r"residual at \S+ (\S+)", err).group(1)) <= 2.5e-2
+
 
 def test_gaps_rows(capsys, tmp_path):
     cfg = write_config(tmp_path, {"gaps": {"tiling": 3, "h": 0.05, "N": 2, "n": 96}})

@@ -13,13 +13,14 @@ import scipy.integrate
 
 from magspec import experiments
 from magspec.discretize import Grid
+from magspec.eigensolve import EigenResult
 from magspec.errors import ConfigError, DomainError
 from magspec.experiments import (DEFAULTS, SCHEMA, GapReport, SweepConfig,
                                  SweepRecord, TiledField, check_keys,
                                  curved_well, detect_gaps,
                                  fit_expansion, grid_size, montgomery_check,
-                                 record_table, richardson, run_sweep,
-                                 section, standard_well, write_table)
+                                 record_table, richardson, run_gap_experiment,
+                                 run_sweep, section, standard_well, write_table)
 from magspec.fieldgeom import FieldSetup, Rectangle, gauge_from_field
 from magspec.wellmodel import WellData, mu_jk2
 
@@ -254,6 +255,29 @@ class TestRunSweep:
         assert all(math.isnan(r.lambda_computed) for r in recs)
 
 
+class TestGapExperiment:
+    def test_clusters_hold_one_state_per_well(self):
+        rep = run_gap_experiment(p=3, h=0.05, N=2, n=96)
+        assert len(rep.sizes) >= 3 and set(rep.sizes) == {9}
+        assert "warning" not in rep.message
+
+    def test_missing_state_is_flagged(self, monkeypatch):
+        # the standard well's nine-fold rungs h + h^2 (2, 4, 6, 8), one state
+        # of the second missing
+        h = 0.05
+        vals = np.delete(np.repeat(h + h * h * np.array([2.0, 4, 6, 8]), 9), 9)
+
+        def solve(op, m, **kwargs):
+            return EigenResult(eigenvalues=vals, residuals=np.zeros(vals.size),
+                               iterations=0, converged=np.ones(vals.size, bool),
+                               shift=0.0)
+        monkeypatch.setattr(experiments, "smallest_eigenpairs", solve)
+        rep = run_gap_experiment(p=3, h=h, N=2, n=96)
+        assert rep.sizes == (9, 8, 9) and rep.passed
+        assert rep.message.endswith("; warning: cluster sizes 9, 8, 9, "
+                                    "expected 9 each")
+
+
 def _uncertify(monkeypatch, fail_dim):
     """Make the solver report its last pair unconverged at dimension
     `fail_dim`."""
@@ -457,6 +481,15 @@ class TestDetectGaps:
         assert rep.passed
         assert rep.message.startswith("3 clusters, 2 dominating gaps")
         assert "left out the top cluster" in rep.message and "(1 computed)" in rep.message
+
+    def test_cluster_sizes(self):
+        # the second rung lacks one of its nine states; the top cluster,
+        # which holds the largest value, is left out
+        h = 0.05
+        centers = [h + h * h * (2 + 2 * k) for k in range(4)]
+        vals = np.delete(self._synthetic(h, centers, spread=1e-4 * h * h), 9)
+        rep = detect_gaps(vals, h, self.WELL, k=0, N=2)
+        assert rep.sizes == (9, 8, 9)
 
     def test_cluster_below_a_computed_value_is_kept(self):
         # a value computed above the window completes the top cluster inside

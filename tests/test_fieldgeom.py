@@ -98,6 +98,11 @@ class TestWellData:
         assert w.R0 == pytest.approx(1.0, rel=1e-12)
         assert w.alpha1 == pytest.approx(1.0, abs=1e-10)
         assert w.beta1 == pytest.approx(1.0, abs=1e-10)
+        assert w.phi0 == 0.0
+
+    def test_conformal_factor_at_the_well(self):
+        w = well_data(FieldSetup("1 + x^2 + y^2", "0.3 + x^2", SQUARE2))
+        assert w.phi0 == pytest.approx(0.3, abs=1e-12)
 
     def test_rotated_well_invariants(self):
         # b = 1 + 2x^2 + 2xy... use hessian with off-diagonal: 1+3x^2+2xy+3y^2
