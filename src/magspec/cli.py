@@ -87,9 +87,10 @@ def _cmd_oracle(args, doc):
 def _cmd_solve(args, doc):
     h, n, m, tol = section(doc, "solve").values()
     well, gauge, grid, op = _operator(args, doc, h, n)
-    res = smallest_eigenpairs(op, m, tol=tol, seed=doc["seed"])
-    rows = [(j, float(res.eigenvalues[j]),
-             h * well.b0 + h * h * mu_jk2(well, j, 0),
+    # the two-term law's level m, expected above lambda_m
+    law = [h * well.b0 + h * h * mu_jk2(well, j, 0) for j in range(m + 1)]
+    res = smallest_eigenpairs(op, m, tol=tol, seed=doc["seed"], above=law[m])
+    rows = [(j, float(res.eigenvalues[j]), law[j],
              float(res.residuals[j]), bool(res.converged[j]))
             for j in range(m)]
     return ["j", "lambda", "lambda_predicted", "residual", "converged"], rows, 0

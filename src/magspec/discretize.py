@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import DomainError
@@ -172,5 +171,6 @@ def field_mass(setup, grid: Grid, u) -> float:
 
 def dump_matrix_market(op: AssembledOperator, path) -> None:
     """Write H in Matrix Market coordinate format (complex Hermitian, 1-based)."""
+    import scipy.io  # here, not at module load: only this writer needs it
     with open(path, "wb") as fh:  # mmwrite alone ignores a missing directory
         scipy.io.mmwrite(fh, op.H.tocoo(), symmetry="hermitian")

@@ -18,10 +18,12 @@ by Sylvester's law they are its nonpositive U-diagonal entries (Grimes, Lewis
 
 - The small request, for m <= 24, where the full request's basis would be
   set by its floor of 80 vectors: k = m + 2 pairs in 2k + 1 vectors within
-  10 implicit restarts (Lehoucq & Sorensen 1996).  It is kept only if the
-  count at a tau in a gap above lambda_m (`_count_above`) equals the number
-  of returned eigenvalues below tau.  That proves none below tau was missed,
-  also none below sigma, so its Krylov factor is never counted.
+  10 implicit restarts (Lehoucq & Sorensen 1996), on a symmetric-mode factor.
+  It is kept only if the count at a tau in a gap above lambda_m
+  (`_gap_above`) equals the number of returned eigenvalues below tau.  That
+  proves none below tau was missed, also none below sigma, so its Krylov
+  factor is never counted.  Discarded before tau is factored (a stall, or
+  no gap wide enough), it hands its factor to the full request.
 - The full request: k = m + 5 pairs in at least 80 vectors, since highly
   degenerate clusters (Landau levels) make ARPACK stagnate in a smaller
   basis.  It runs for m >= 25 and whenever the small request is discarded
@@ -31,6 +33,23 @@ by Sylvester's law they are its nonpositive U-diagonal entries (Grimes, Lewis
   smallest.  A nonzero count (on coarse grids), a singular factor, or pivots
   off the diagonal rerun it at the floor min(0, min V), a proven lower
   bound, with the pivoted factor.
+
+The shifted run.  A caller that expects a point `above` to lie above
+lambda_m (`magspec solve` passes the two-term law's level m,
+h b0 + h^2 mu_{m,0}) lets a request for m <= 24 skip the factor at sigma:
+each block is factored once at `above` in symmetric mode, and that factor's
+count c_b comes first.  ARPACK then seeks, on the same factor, the c_b
+algebraically smallest 1/(lambda - above) in 2 c_b + 1 vectors within 30
+restarts, to a tenth of the other runs' tolerance (`_arpack_below`): they
+are exactly the c_b eigenvalues below `above`.  The union's m smallest answer only if every block returns c_b
+values, each more than 2 tol + 4 r below `above` with residual r <= tol
+(`_certified_below`), each c_b is at least 1 and at most the block's share
+m_b (below) plus 5, and the blocks hold at least m pairs in all.  Then the
+count at `above`, as the count above lambda_m of the small request, proves
+the pairs complete, with one factor per block instead of two.  At the first
+check that fails the run list above answers, on every block.  On the curved
+well at h = 0.05 (two real blocks of 57,461 unknowns, m = 6) the counts at
+the law's level 6 are 5 and 4.
 
 The parity split.  The experiments' fields are unchanged by the rotation by
 pi about the domain centre, on a centred grid the index reversal P (node
@@ -44,26 +63,28 @@ pairs first in the request's order (smallest, or nearest the target), as
 one block keeps m of m + 5.  The union's pairs up to T, the nearer of the
 two m_b-th, answer if at least m; else the block that set T runs again
 with m_b = m.  Other requests are one block, whose first m pairs answer.
-A split small request makes about 1.7 times the solves of one block, each
-on a half-size real block (below), but factors each block twice (the
-Krylov factor and the count), which on large grids takes as long as one
-block's two complex factors: the split pays where the Krylov loop weighs,
-at m >= 6.  Split time over one block's on the standard well at h = 0.1
-(2 CPUs, medians of 3 to 7): for m = 6, 1.3 at 256 and 576 unknowns,
-0.78-1.13 from 1,024 to 3,600, 0.72-0.86 from 4,096 to 131,044 and
-0.78-0.93 at 262,144; for m = 12 and 24, 0.48-0.77 from 4,096 to 262,144;
-for m = 1 to 5, 0.67-1.02 from 4,096 to 131,044 but 0.95-1.14 at 262,144.
+A split small request makes about 1.7 times the solves of one block, each on
+a half-size real block (below), but factors each block twice (the Krylov
+factor and the count; once in the shifted run), which on large grids takes
+as long as one block's two complex factors: the split pays where the Krylov
+loop weighs, at m >= 6.  Split time over one block's on the standard well at
+h = 0.1 (2 CPUs, medians of 3 to 7): for m = 6, 1.3 at 256 and 576 unknowns,
+0.78-1.13 from 1,024 to 3,600, 0.72-0.86 from 4,096 to 131,044 and 0.78-0.93
+at 262,144; for m = 12 and 24, 0.48-0.77 from 4,096 to 262,144; for m = 1 to
+5, 0.67-1.02 from 4,096 to 131,044 but 0.95-1.14 at 262,144.
 Near a target there is no count: ACCEPTANCE 6's 12 pairs near a rung on
 143^2 to 544^2 nodes took 18.6 s split, 22.7 s on one block (medians of 3).
 
 The symmetry gate admits a defect E (Hs - P Hs P, or a block's, below) if
-sqrt(||E||_1 ||E||_inf) <= tol/10.  What is solved is the averaged operator
+sqrt(||E||_1 ||E||_inf) <= tol/2.  What is solved is the averaged operator
 A - E/2, and ||E||_2 <= sqrt(||E||_1 ||E||_inf), so by Weyl's inequality
-each of its eigenvalues is within tol/20 of A's.  A count's tau lies more
-than tol from the returned values on either side, so none is carried across
-it, and a vector's residual in A exceeds its residual in A - E/2 by at most
-tol/20.  E is roundoff of the Peierls phases, 1.1e-12 on the 3 x 3 tiling
-at h = 0.05, n = 192, within tol/10 at the default tol = 1e-10.
+each averaging moves every eigenvalue by at most tol/4, and the two (parity,
+then the real form below) by at most tol/2.  A count's tau lies more than
+tol from the returned values on either side, so none is carried across it;
+residuals are measured on H itself.  E is roundoff of the Peierls phases:
+1.1e-12 on the 3 x 3 tiling at h = 0.05, n = 192; on the standard well at
+h = 0.1 about 1.5e-14 ||Hs||_1, 1.6e-12 at n = 143 (within tol/2 at
+tol = 1e-11) and 1.0e-11 at n = 362 (within tol/2 at the default 1e-10).
 
 Real arithmetic.  The experiments' fields are also even in y about the
 domain's centre line, and in the A1 = 0 gauge the node mirror R_y
@@ -89,8 +110,9 @@ refuses, which is its own form.
 (of two blocks, the lower), `count_shift` the shift of the count that
 certified it (tau or sigma; of two blocks, the lower of their two, since
 each proves its block complete below its own; None if any answer is
-uncertified), and `iterations` the shift-invert solves of every run of
-every block.
+uncertified; both are `above` for the shifted run), and `iterations` the
+shift-invert solves of every run of every block, a failed shifted run's
+too.
 
 A solve keeps each block's kept columns and Q, and embeds 16 columns at a
 time for the residuals.  `EigenResult.eigenvectors` is built on first read:
@@ -118,6 +140,10 @@ _CLUSTER_MARGIN = 5
 _NCV_FLOOR = 80
 # implicit restarts the small request may take before the full one runs
 _SMALL_RESTARTS = 10
+# implicit restarts the shifted run may take: with 10, as the small request,
+# a third of the blocks of 1 to 4 pairs below the shift stalled on the pair
+# farthest below it; 30 converged each of them in at most 12 more solves
+_SHIFTED_RESTARTS = 30
 # fraction of the way from the floor to the bottom estimate at which the
 # smallest pairs are sought first
 _BELOW_BOTTOM = 0.95
@@ -175,51 +201,97 @@ def _count_below(lu):
 
     A symmetric permutation makes the factor L D L^H with D = diag(U), and D
     has the inertia of Hs - sigma I (Sylvester).  Reading `lu.U` builds and
-    caches csc copies of both factors, so call it once the factor's solves
-    are done.
+    caches csc copies of both factors; they are emptied here, so a count may
+    precede the factor's solves without holding them through the loop (and
+    a factor is counted once).
     """
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
-    return int(np.sum(lu.U.diagonal().real <= 0))
+    count = int(np.sum(lu.U.diagonal().real <= 0))
+    for f in (lu.L, lu.U):
+        f.data, f.indices = f.data[:0].copy(), f.indices[:0].copy()
+        f.indptr = np.zeros_like(f.indptr)
+    return count
 
 
-def _count_above(Hs, vals, vecs, m: int, tol: float):
-    """The shift tau of an inertia count above the m-th smallest of `vals`
-    that proves the pairs (vals, vecs) of Hs hold every eigenvalue below tau,
-    or None if no such count holds.
+def _residuals(Hs, vals, vecs):
+    """||Hs v - lambda v|| / ||v|| of each pair (vals, vecs)."""
+    return (np.linalg.norm(Hs @ vecs - vecs * vals, axis=0)
+            / np.linalg.norm(vecs, axis=0))
+
+
+def _gap_above(Hs, vals, vecs, m: int, tol: float):
+    """(tau, below): the shift of an inertia count above the m-th smallest of
+    `vals` and the number of them below it, or None if no gap is wide enough.
 
     tau is the midpoint of the first gap at or above the m-th value that is
-    wider than 2 tol + 4 (r_i + r_{i+1}), r the pairs' residuals, so a
-    residual-sized error cannot carry an eigenvalue across tau.
+    wider than 2 tol + 4 (r_i + r_{i+1}), r the residuals of the pairs
+    (vals, vecs) of Hs, so a residual-sized error cannot carry an eigenvalue
+    across tau: a count of `below` at tau then proves the pairs hold every
+    eigenvalue below it.
     """
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    res = (np.linalg.norm(Hs @ vecs - vecs * vals, axis=0)
-           / np.linalg.norm(vecs, axis=0))
+    vals, res = vals[order], _residuals(Hs, vals, vecs)[order]
     wide = np.flatnonzero(np.diff(vals)[m - 1:]
                           > 2 * tol + 4 * (res[m - 1:-1] + res[m:]))
     if wide.size == 0:
         return None
-    below = m + int(wide[0])  # returned values below tau
-    tau = 0.5 * (vals[below - 1] + vals[below])
+    below = m + int(wide[0])
+    return float(0.5 * (vals[below - 1] + vals[below])), below
+
+
+def _certified_below(Hs, vals, vecs, tau: float, count: int,
+                     tol: float) -> bool:
+    """Whether the pairs (vals, vecs) of Hs are every eigenpair below tau,
+    given `count`, the inertia count at tau: as many pairs as counted, each
+    with residual r <= tol and more than 2 tol + 4 r below tau, so that none
+    is an eigenvalue above tau carried below it by a residual-sized error."""
+    res = _residuals(Hs, vals, vecs)
+    return (vals.size == count and bool(np.all(res <= tol))
+            and bool(np.all(tau - vals > 2 * tol + 4 * res)))
+
+
+def _lanczos(Hs, lu, sigma: float, k: int, ncv: int, maxiter: int,
+             tol: float, seed: int, which: str = "LM"):
+    """ARPACK's shift-invert Lanczos on `lu`, a factor of Hs - sigma I:
+    (vals, vecs, solves, stopped), solves its OPinv applications and stopped
+    the ArpackNoConvergence of a stall (then the pairs are the ones ARPACK
+    converged), else None.  `which` refers to 1/(lambda - sigma)."""
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    v0 = np.random.default_rng(seed).standard_normal(Hs.shape[0])
     try:
-        lu = _factor(Hs, tau, inertia=True)
-    except RuntimeError:  # exactly singular: tau is an eigenvalue
-        return None
-    return float(tau) if _count_below(lu) == below else None
+        vals, vecs = spla.eigsh(Hs, k=k, sigma=sigma, which=which, v0=v0,
+                                OPinv=spla.LinearOperator(Hs.shape, matvec=solve,
+                                                          dtype=Hs.dtype),
+                                ncv=ncv, maxiter=maxiter,
+                                tol=max(tol * 1e-1, 1e-12))
+    except spla.ArpackNoConvergence as err:
+        # dropping its traceback frees ARPACK's workspace before any count
+        return (np.real(err.eigenvalues), err.eigenvectors, solves,
+                err.with_traceback(None))
+    return vals, vecs, solves, None
 
 
 def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
-                 count: str = None):
+                 count: str = None, spare: dict = None):
     """ARPACK's converged eigenpairs of Hs nearest sigma, at least m of them,
     the number of shift-invert solves (OPinv applications) it made, and the
     shift of the inertia count that certified the pairs.
 
     `count` names the request and its certificate: "above" the small request,
-    certified by `_count_above` once the Krylov factor is freed; "sigma" the
-    full request, certified by a count of 0 at sigma; None the full request,
-    uncertified.  A certified request returns (None, None) pairs when it
-    stalls (small request only) or its certificate fails.
+    certified by a count above lambda_m (`_gap_above`) once the Krylov factor
+    is freed; "sigma" the full request, certified by a count of 0 at sigma;
+    None the full request, uncertified.  A certified request returns (None,
+    None) pairs when it stalls (small request only) or its certificate fails.
+    A small request discarded before its count above (a stall, or no gap wide
+    enough) leaves its factor in `spare`, keyed by sigma, and the next request
+    at sigma takes it from there instead of factoring Hs again.
     """
     n = Hs.shape[0]
     small = count == "above"
@@ -229,39 +301,32 @@ def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
     else:
         k = min(m + _CLUSTER_MARGIN, n - 2)
         ncv, maxiter = min(n - 1, max(2 * k + 20, _NCV_FLOOR)), 2000
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    try:
-        lu = _factor(Hs, sigma, inertia=count == "sigma")
-    except RuntimeError:  # exactly singular: sigma is an eigenvalue
-        if count is None:
-            raise
-        return None, None, 0, None
-    solves = 0
-
-    def solve(x):
-        nonlocal solves
-        solves += 1
-        return lu.solve(x)
-
-    stopped = None
-    try:
-        vals, vecs = spla.eigsh(Hs, k=k, sigma=sigma, which="LM", v0=v0,
-                                OPinv=spla.LinearOperator(Hs.shape, matvec=solve,
-                                                          dtype=Hs.dtype),
-                                ncv=ncv, maxiter=maxiter,
-                                tol=max(tol * 1e-1, 1e-12))
-    except spla.ArpackNoConvergence as err:
-        # the pairs carried by the error are the ones ARPACK converged;
-        # dropping its traceback frees ARPACK's workspace before any count
-        stopped = err.with_traceback(None)
-        vals, vecs = np.real(err.eigenvalues), err.eigenvectors
+    lu = spare.pop(sigma, None) if spare else None
+    if lu is None:
+        try:
+            lu = _factor(Hs, sigma, inertia=count is not None)
+        except RuntimeError:  # exactly singular: sigma is an eigenvalue
+            if count is None:
+                raise
+            return None, None, 0, None
+    vals, vecs, solves, stopped = _lanczos(Hs, lu, sigma, k, ncv, maxiter,
+                                           tol, seed)
     if count == "sigma" and _count_below(lu) != 0:
         return None, None, solves, None
-    del lu  # the count above lambda_m factors Hs again
     if small:
-        tau = None if stopped is not None else _count_above(Hs, vals, vecs,
-                                                            m, tol)
-        if tau is None:
+        gap = None if stopped is not None else _gap_above(Hs, vals, vecs, m,
+                                                           tol)
+        if gap is None:
+            if spare is not None:
+                spare[sigma] = lu
+            return None, None, solves, None
+        del lu  # the count above lambda_m factors Hs again
+        tau, below = gap
+        try:
+            counted = _count_below(_factor(Hs, tau, inertia=True))
+        except RuntimeError:  # exactly singular: tau is an eigenvalue
+            counted = None
+        if counted != below:
             return None, None, solves, None
         return vals, vecs, solves, tau
     if stopped is not None and vals.size < m:
@@ -270,21 +335,51 @@ def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
     return vals, vecs, solves, sigma if count else None
 
 
+def _arpack_below(Hs, tau: float, cap: int, tol: float, seed: int):
+    """Every eigenpair of Hs below tau from one factor of Hs - tau I, and the
+    shift-invert solves made, or (None, None, solves) if that run fails.
+
+    The factor's inertia count c comes first: a singular factor, pivots off
+    the diagonal, c = 0 or c > `cap` fail before any solve.  On that same factor
+    ARPACK then seeks the c algebraically smallest 1/(lambda - tau), which
+    are the c eigenvalues below tau, in 2c + 1 vectors; a stall fails, and
+    so do pairs that `_certified_below` does not accept.
+    """
+    try:
+        lu = _factor(Hs, tau, inertia=True)
+    except RuntimeError:  # exactly singular: tau is an eigenvalue
+        return None, None, 0
+    c = _count_below(lu)
+    if c is None or not 0 < c <= cap:
+        return None, None, 0
+    # a tenth of the other runs' Krylov tolerance: ARPACK measures a pair in
+    # 1/(lambda - tau), and the one farthest below tau met that measure with
+    # a residual over tol (1.4e-10 at tol = 1e-10 on the standard well at
+    # h = 0.5, 64^2, m = 2); this costs 0 to 4 solves per block
+    vals, vecs, solves, stopped = _lanczos(Hs, lu, tau, c, 2 * c + 1,
+                                           _SHIFTED_RESTARTS, tol / 10, seed,
+                                           which="SA")
+    if stopped is not None or not _certified_below(Hs, vals, vecs, tau, c,
+                                                   tol):
+        return None, None, solves
+    return vals, vecs, solves
+
+
 def _run(Hs, runs, m: int, tol: float, seed: int):
     """(vals, vecs, solves, shift, count shift) of the first of `runs` whose
     certificate holds on Hs, the solves summed over every run made."""
-    solves = 0
+    solves, spare = 0, {}  # a discarded small request's factor (`_arpack_near`)
     for sigma, count in runs:
         vals, vecs, more, count_shift = _arpack_near(Hs, sigma, m, tol, seed,
-                                                     count=count)
+                                                     count=count, spare=spare)
         solves += more
         if vals is not None:
             return vals, vecs, solves, sigma, count_shift
 
 
 def _symmetric(E, tol: float) -> bool:
-    """The symmetry gate: sqrt(||E||_1 ||E||_inf) <= tol / 10."""
-    return np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf)) <= tol / 10
+    """The symmetry gate: sqrt(||E||_1 ||E||_inf) <= tol / 2."""
+    return np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf)) <= tol / 2
 
 
 def _parity_blocks(Hs, tol: float):
@@ -328,27 +423,55 @@ def _real_form(B, tol: float, grid, odd: bool):
     return (Q.conj().T @ (0.5 * (B + SBS)) @ Q).real.tocsc(), Q
 
 
-def _union_pairs(forms, runs, m: int, tol: float, seed: int, key):
+def _shifted_run(forms, above: float, wants, m: int, tol: float, seed: int):
+    """The shifted run (module docstring): each block's `_arpack_below` at
+    `above`, capped at its share of `wants` plus `_CLUSTER_MARGIN`, as
+    `_run`'s tuples, or None at the first block that fails or if the blocks
+    hold fewer than m pairs; then the solves made."""
+    out, solves = [], 0
+    for (form, _), k in zip(forms, wants):
+        vals, vecs, more = _arpack_below(form, above, k + _CLUSTER_MARGIN, tol,
+                                         seed)
+        solves += more
+        if vals is None:
+            return None, solves
+        out.append((vals, vecs, more, above, above))
+    return (out if sum(o[0].size for o in out) >= m else None), solves
+
+
+def _union_pairs(forms, runs, m: int, tol: float, seed: int, key,
+                 above: float = None):
     """The m pairs of Hs first by `key(vals)` from its one or two block
-    `forms` by the union rule (module docstring): their values; `order`, the
-    index of each answer in the blocks' kept columns, concatenated; each
-    block's kept columns with its form's Q; then `_run`'s solves, shift and
-    count shift, and whether every block ran in real arithmetic."""
+    `forms`: from the shifted run at `above` if it holds (`_shifted_run`),
+    else by the union rule (module docstring).  Returns their values;
+    `order`, the index of each answer in the blocks' kept columns,
+    concatenated; each block's kept columns with its form's Q; then the
+    solves of every run, the shift and count shift, and whether every block
+    ran in real arithmetic."""
     wants = [m] if len(forms) == 1 else [m // 2 + m % 2 + 1] * 2
-    out = [_run(f[0], runs, k, tol, seed) for f, k in zip(forms, wants)]
-    solves = sum(o[2] for o in out)
-    while True:
-        kept = [np.argsort(key(o[0]))[:k] for o, k in zip(out, wants)]
-        tops = [key(o[0][i[-1]]) for o, i in zip(out, kept)]
-        vals = np.concatenate([o[0][i] for o, i in zip(out, kept)])
-        below = np.flatnonzero(key(vals) <= min(tops))
-        if below.size >= m:
-            break
-        short = int(np.argmin(tops))
-        if wants[short] == m:
-            raise DomainError(f"parity blocks gave {below.size} of {m} pairs")
-        wants[short], out[short] = m, _run(forms[short][0], runs, m, tol, seed)
-        solves += out[short][2]
+    out, solves = (_shifted_run(forms, above, wants, m, tol, seed)
+                   if above is not None else (None, 0))
+    if out is not None:  # every pair below `above` is certified
+        kept = [np.arange(o[0].size) for o in out]
+        vals = np.concatenate([o[0] for o in out])
+        below = np.arange(vals.size)
+    else:
+        out = [_run(f[0], runs, k, tol, seed) for f, k in zip(forms, wants)]
+        solves += sum(o[2] for o in out)
+        while True:
+            kept = [np.argsort(key(o[0]))[:k] for o, k in zip(out, wants)]
+            tops = [key(o[0][i[-1]]) for o, i in zip(out, kept)]
+            vals = np.concatenate([o[0][i] for o, i in zip(out, kept)])
+            below = np.flatnonzero(key(vals) <= min(tops))
+            if below.size >= m:
+                break
+            short = int(np.argmin(tops))
+            if wants[short] == m:
+                raise DomainError(
+                    f"parity blocks gave {below.size} of {m} pairs")
+            wants[short], out[short] = m, _run(forms[short][0], runs, m, tol,
+                                               seed)
+            solves += out[short][2]
     order = below[np.argsort(key(vals[below]), kind="stable")][:m]
     counts = [o[4] for o in out]
     return (vals[order], order,
@@ -359,9 +482,10 @@ def _union_pairs(forms, runs, m: int, tol: float, seed: int, key):
 
 
 def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
-                        seed: int, key) -> EigenResult:
+                        seed: int, key, above: float = None) -> EigenResult:
     """The m pairs of the pencil nearest the shift of the first of `runs`
-    whose certificate holds, ordered by `key(vals)`.
+    whose certificate holds, ordered by `key(vals)`, or the m smallest from
+    the shifted run at `above` if it holds.
 
     `runs` are (shift, count) requests for `_arpack_near`; the last one is
     uncertified, so it answers if no earlier one does.  `_union_pairs`
@@ -384,7 +508,7 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
               for odd, B in enumerate(blocks or ())]
     del blocks
     vals, order, kept, solves, sigma, count_shift, real = _union_pairs(
-        forms, runs, m, tol, seed, key)
+        forms, runs, m, tol, seed, key, above)
     del forms  # each block's R; its columns map back through Q alone
     half, ne, s = n // 2, kept[0][0].shape[1], np.sqrt(0.5)
 
@@ -425,23 +549,27 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
 
 
 def smallest_eigenpairs(op: AssembledOperator, m: int, tol: float = 1e-10,
-                        seed: int = 0) -> EigenResult:
+                        seed: int = 0, above: float = None) -> EigenResult:
     """The m algebraically smallest eigenpairs of H v = lambda M v.
 
-    The shift sits just below the operator's `bottom` estimate.  The small
-    request there is kept when a count above lambda_m certifies it, the full
-    request when a count at the shift certifies that no eigenvalue lies below
-    it; otherwise the full request runs at the `floor` min(0, min V), a lower
-    bound of the spectrum.  Either way the eigenvalues nearest the shift are
-    the smallest.
+    `above`, a point the caller expects above lambda_m, lets a request for
+    m <= 24 pairs try the shifted run first: one factor per block at `above`,
+    whose count certifies the pairs below it (module docstring).  Otherwise,
+    or if that run fails, the shift sits just below the operator's `bottom`
+    estimate.  The small request there is kept when a count above lambda_m
+    certifies it, the full request when a count at the shift certifies that
+    no eigenvalue lies below it; otherwise the full request runs at the
+    `floor` min(0, min V), a lower bound of the spectrum.  Either way the
+    eigenvalues nearest the shift are the smallest.
     """
     sigma = op.floor + _BELOW_BOTTOM * (op.bottom - op.floor)
     # the small request only where the basis floor sets the full one's ncv
-    runs = ([(sigma, "above")]
-            if 2 * (m + _CLUSTER_MARGIN) + 20 < _NCV_FLOOR else [])
+    small = 2 * (m + _CLUSTER_MARGIN) + 20 < _NCV_FLOOR
+    runs = [(sigma, "above")] if small else []
     runs += ([(sigma, "sigma"), (op.floor, None)] if sigma > op.floor
              else [(sigma, None)])
-    return _shift_invert_pairs(op, runs, m, tol, seed, key=lambda v: v)
+    return _shift_invert_pairs(op, runs, m, tol, seed, key=lambda v: v,
+                               above=above if small else None)
 
 
 def eigenpairs_near(op: AssembledOperator, target: float, m: int,

@@ -4,14 +4,19 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 import magspec
 from magspec import cli, experiments
 from magspec.cli import main
+from magspec.discretize import Grid, assemble
+from magspec.fieldgeom import gauge_from_field
 
 
 def run(capsys, *argv):
@@ -302,6 +307,58 @@ class TestSolve:
         assert code == 0, err
         for row in csv_rows(out)[1:]:
             assert abs(float(row[1]) - float(row[2])) <= 0.5 * h * h, row
+
+
+    def test_solve_shifts_at_the_law_level_m(self, capsys, tmp_path,
+                                              monkeypatch):
+        # the two-term law's level m lies above lambda_m: the shifted run
+        # answers, with the same rows as the request without it
+        results, solve = [], cli.smallest_eigenpairs
+
+        def spy(op, m, **kwargs):
+            results.append((kwargs.get("above"), solve(op, m, **kwargs)))
+            return results[-1][1]
+        monkeypatch.setattr(cli, "smallest_eigenpairs", spy)
+        cfg = write_config(tmp_path, {"solve": {"h": 0.1, "n": 40, "m": 3}})
+        code, out, err = run(capsys, "solve", "--config", cfg)
+        assert code == 0, err
+        (above, res), = results
+        assert above == pytest.approx(0.1 + 0.01 * 8)  # h b0 + h^2 (2m + 2)
+        assert res.shift == res.count_shift == above
+        rows = csv_rows(out)[1:]
+        assert [float(r[2]) for r in rows] == pytest.approx(
+            [0.1 + 0.01 * (2 * j + 2) for j in range(3)])
+        monkeypatch.setattr(cli, "smallest_eigenpairs",
+                            lambda op, m, above, **kwargs: solve(op, m, **kwargs))
+        _, today, _ = run(capsys, "solve", "--config", cfg)
+        for row, old in zip(rows, csv_rows(today)[1:]):
+            assert float(row[1]) == pytest.approx(float(old[1]), rel=1e-12)
+            assert float(row[3]) <= 1e-8 and row[4] == "True"
+
+    def test_cli_import_leaves_scipy_io_out(self):
+        # only --dump-matrix writes Matrix Market: every other command runs
+        # without importing scipy.io
+        src = pathlib.Path(magspec.__file__).parents[1]
+        probe = ("import sys, magspec.cli; "
+                 "print('scipy.io' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
+
+    def test_dump_matrix_is_mmwrite_of_the_operator(self, capsys, tmp_path):
+        import scipy.io
+        cfg = write_config(tmp_path, {"solve": {"h": 0.1, "n": 40, "m": 2}})
+        mtx = tmp_path / "H.mtx"
+        code, _, _ = run(capsys, "solve", "--config", cfg,
+                         "--dump-matrix", str(mtx))
+        assert code == 0
+        setup = experiments.field_setup({})
+        op = assemble(setup, gauge_from_field(setup, x_anchor=0.0),
+                      Grid(setup.domain, 40, 40), 0.1)
+        ref = io.BytesIO()
+        scipy.io.mmwrite(ref, op.H.tocoo(), symmetry="hermitian")
+        assert mtx.read_bytes() == ref.getvalue()
 
 
 @pytest.mark.parametrize("command, sec", [

@@ -18,7 +18,8 @@ from magspec.eigensolve import (eigenpairs_near, nearest_eigenvalue,
 from magspec.errors import DomainError
 from magspec.experiments import TiledField, curved_well, standard_well
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
-                               gauge_from_field)
+                               gauge_from_field, well_data)
+from magspec.wellmodel import mu_jk2
 
 SQUARE2 = Rectangle(-2.0, 2.0, -2.0, 2.0)
 
@@ -160,12 +161,53 @@ class TestCertifiedShift:
             lu = es._factor(Hs, sigma, inertia=True)
             assert es._count_below(lu) == int(np.sum(ev <= sigma))
 
+    def test_count_empties_the_cached_factors(self):
+        # reading lu.U caches csc copies of both factors; the count empties
+        # them, and the factor still solves
+        Hs = symmetrized(std_operator(40))
+        lu = es._factor(Hs, 0.1, inertia=True)
+        x = lu.solve(np.ones(Hs.shape[0], dtype=Hs.dtype))
+        assert es._count_below(lu) == 0
+        assert lu.L.nnz == lu.U.nnz == 0
+        np.testing.assert_array_equal(
+            lu.solve(np.ones(Hs.shape[0], dtype=Hs.dtype)), x)
+
     def test_off_diagonal_pivots_give_no_count(self):
         # a zero diagonal forces SuperLU off the diagonal; U's diagonal is
         # then all positive although one eigenvalue (-1) is negative
         A = sp.csc_matrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 2]],
                                    dtype=complex))
         assert es._count_below(es._factor(A, 0.0, inertia=True)) is None
+
+    def test_gap_above_needs_a_margin(self):
+        # diag(1, 2, 3, 4) with pairs that omit 2 and hold 3's vector at 2.5
+        # (a value that crossed tau) and 4's at 2.9: a count at tau = 2.7 is
+        # 2, as many as the returned values below it, so only the margin
+        # 2 tol + 4 (r_i + r_{i+1}) keeps it from certifying the wrong pairs
+        Hs = sp.diags([1.0, 2.0, 3.0, 4.0]).tocsc()
+        e = np.eye(4)
+        assert es._count_below(es._factor(Hs, 2.7, inertia=True)) == 2
+        crossed = (np.array([1.0, 2.5, 2.9]), e[:, [0, 2, 3]])
+        assert es._gap_above(Hs, *crossed, 2, 1e-10) is None
+        exact = (np.array([3.0, 1.0, 2.0]), e[:, [2, 0, 1]])
+        assert es._gap_above(Hs, *exact, 2, 1e-10) == (2.5, 2)
+
+    def test_certified_below_needs_a_margin(self):
+        # diag(1, 2, 3, 10) counts 2 below tau = 2.995; pairs that omit 2 and
+        # hold 3's vector at 2.99 (residual 0.01 <= tol) are as many as the
+        # count, all below tau: only the margin 2 tol + 4 r refuses them
+        Hs = sp.diags([1.0, 2.0, 3.0, 10.0]).tocsc()
+        e, tau, tol = np.eye(4), 2.995, 1e-2
+        assert es._count_below(es._factor(Hs, tau, inertia=True)) == 2
+        crossed = (np.array([1.0, 2.99]), e[:, [0, 2]])
+        assert not es._certified_below(Hs, *crossed, tau, 2, tol)
+        assert es._certified_below(Hs, np.array([1.0, 2.0]), e[:, :2], tau, 2,
+                                   tol)
+        # a pair over tol, or fewer pairs than counted, is refused as well
+        assert not es._certified_below(Hs, np.array([1.0, 1.9]), e[:, :2],
+                                       tau, 2, tol)
+        assert not es._certified_below(Hs, np.array([1.0]), e[:, :1], tau, 2,
+                                       tol)
 
     def test_standard_well_uses_certified_shift(self):
         # the small request answers, certified by the count above lambda_6:
@@ -267,17 +309,19 @@ class TestCertifiedShift:
                                    rtol=1e-12, atol=0)
 
     def test_singular_factor_falls_back_to_floor(self, runs, monkeypatch):
-        real = es._factor
+        real, made = es._factor, []
 
         def singular(Hs, sigma, inertia=False):
-            if inertia:
+            made.append(sigma)
+            if inertia and len(made) > 1:
                 raise RuntimeError("Factor is exactly singular")
             return real(Hs, sigma, inertia)
         monkeypatch.setattr(es, "_factor", singular)
         op = std_operator(40)
         res = smallest_eigenpairs(op, 4, tol=1e-10)
         assert res.shift == op.floor and res.count_shift is None
-        # the small request's pivoted factor stands, but its count cannot
+        # the small request's factor stands, but every later one in
+        # symmetric mode is singular: the count above and the full request's
         assert [r[:2] for r in runs] == [("above", True), ("sigma", True),
                                          (None, False)]
         assert runs[0][2] > 0 and runs[1][2] == 0
@@ -366,6 +410,33 @@ class TestDegenerateClusters:
                                        atol=0)
 
 
+    def test_discarded_small_request_hands_its_factor_on(self, monkeypatch):
+        # h = 0.05, n = 144, m = 12: the even block's small request finds no
+        # gap wide enough above its values and is discarded before any count
+        # above, so its factor at sigma serves the full request: 4 factors,
+        # where factoring sigma again makes 5, for the same answer
+        tiled = TiledField(standard_well(), 3)
+        op = assemble(tiled, tiled.gauge(), Grid(tiled.domain, 144, 144), 0.05)
+        made, factor, near = [], es._factor, es._arpack_near
+
+        def factor_spy(Hs, sigma, inertia):
+            made.append(sigma)
+            return factor(Hs, sigma, inertia)
+        monkeypatch.setattr(es, "_factor", factor_spy)
+        res = smallest_eigenpairs(op, 12, tol=1e-10)
+        handed = len(made)
+        made.clear()
+        monkeypatch.setattr(es, "_arpack_near",
+                            lambda *args, spare=None, **kwargs: near(*args,
+                                                                     **kwargs))
+        again = smallest_eigenpairs(op, 12, tol=1e-10)
+        assert handed == 4 and len(made) == 5
+        assert res.blocks == 2 and np.all(res.converged)
+        assert res.iterations == again.iterations
+        np.testing.assert_allclose(res.eigenvalues, again.eigenvalues,
+                                   rtol=1e-12, atol=0)
+
+
 def oscillator_operator():
     """x^2 + y^2 under the weak field b = 0.05, h = 0.1, on 24 x 24: the
     oscillator shells N = 0..6 hold 16 rotation-even and 12 odd levels."""
@@ -447,8 +518,9 @@ class TestParitySplit:
         op = oscillator_operator()
         calls, real = [], es._arpack_near
 
-        def spy(Hs, sigma, m, tol, seed, count=None):
-            vals, vecs, solves, shift = real(Hs, sigma, m, tol, seed, count)
+        def spy(Hs, sigma, m, tol, seed, count=None, **kwargs):
+            vals, vecs, solves, shift = real(Hs, sigma, m, tol, seed, count,
+                                             **kwargs)
             calls.append((Hs, m, solves))
             if m == 15:
                 keep = np.arange(vals.size) != np.argsort(vals)[15]
@@ -712,6 +784,184 @@ class TestSplitSmallRequest:
         np.testing.assert_array_equal(res.residuals, r)
 
 
+class TestShiftedRun:
+    """`above`, a point expected above lambda_m: one factor per block there,
+    whose count certifies the pairs below it, or today's runs if any check
+    fails."""
+
+    @staticmethod
+    def law(b, n, h, m):
+        """The operator of b on SQUARE2 at n x n and the two-term law's
+        level m, h b0 + h^2 mu_{m,0}."""
+        s = FieldSetup(b, None, SQUARE2)
+        w = well_data(s)
+        op = assemble(s, gauge_from_field(s, x_anchor=0.0),
+                      Grid(SQUARE2, n, n), h)
+        return op, h * w.b0 + h * h * mu_jk2(w, m, 0)
+
+    @pytest.fixture
+    def shifted(self, monkeypatch):
+        """(block dim, solves, failed) of every shifted block run."""
+        log, real = [], es._arpack_below
+
+        def spy(Hs, *args):
+            out = real(Hs, *args)
+            log.append((Hs.shape[0], out[2], out[0] is None))
+            return out
+        monkeypatch.setattr(es, "_arpack_below", spy)
+        return log
+
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """The shift of every SuperLU factor made."""
+        made, real = [], es._factor
+
+        def spy(Hs, sigma, inertia):
+            made.append(sigma)
+            return real(Hs, sigma, inertia)
+        monkeypatch.setattr(es, "_factor", spy)
+        return made
+
+    def test_two_factors_not_four(self, shifted, factors):
+        # the standard well at h = 0.1 on 143^2, m = 6: two real blocks whose
+        # counts at the law's level 6 are 6 and 6
+        op, above = self.law("1 + x^2 + y^2", 143, 0.1, 6)
+        res = smallest_eigenpairs(op, 6, tol=1e-10, above=above)
+        assert factors == [above, above]
+        assert [r[2] for r in shifted] == [False, False]
+        assert res.blocks == 2 and res.real and np.all(res.converged)
+        assert res.shift == res.count_shift == above
+        assert res.iterations == sum(r[1] for r in shifted)
+        factors.clear()
+        today = smallest_eigenpairs(op, 6, tol=1e-10)
+        assert len(factors) == 4 and today.count_shift < above
+        np.testing.assert_allclose(res.eigenvalues, today.eigenvalues,
+                                   rtol=1e-12, atol=0)
+
+    def test_one_complex_block(self, shifted):
+        # the curved well at h = 0.2 on 60^2, m = 3: one block, complex
+        f = curved_well()
+        w = well_data(f)
+        op = assemble(f, gauge_from_field(f, x_anchor=w.x0[0]),
+                      Grid(f.domain, 60, 60), 0.2)
+        above = 0.2 * w.b0 + 0.04 * mu_jk2(w, 3, 0)
+        res = smallest_eigenpairs(op, 3, tol=1e-10, above=above)
+        assert res.blocks == 1 and not res.real and np.all(res.converged)
+        assert res.shift == res.count_shift == above
+        assert len(shifted) == 1 and res.iterations == shifted[0][1]
+        today = smallest_eigenpairs(op, 3, tol=1e-10)
+        np.testing.assert_allclose(res.eigenvalues, today.eigenvalues,
+                                   rtol=1e-12, atol=0)
+
+    def falls_back(self, op, m, above, shifted, solves=None):
+        """The request at `above` returns today's answer, its iterations
+        today's plus those of the shifted runs; the shifted runs' solves."""
+        res = smallest_eigenpairs(op, m, tol=1e-10, above=above)
+        made = [r[1] for r in shifted]
+        today = smallest_eigenpairs(op, m, tol=1e-10)
+        np.testing.assert_array_equal(res.eigenvalues, today.eigenvalues)
+        assert res.shift == today.shift and res.count_shift == today.count_shift
+        assert res.iterations == today.iterations + sum(made)
+        assert np.all(res.converged)
+        return made
+
+    def test_too_few_below_above(self, shifted):
+        # `above` between lambda_5 and lambda_6: both blocks' runs hold, but
+        # 5 < 6 pairs lie below it
+        op, _ = self.law("1 + x^2 + y^2", 64, 0.1, 6)
+        lam = smallest_eigenpairs(op, 6, tol=1e-10).eigenvalues
+        made = self.falls_back(op, 6, 0.5 * (lam[4] + lam[5]), shifted)
+        assert len(made) == 2 and all(made)
+        assert [r[2] for r in shifted] == [False, False]
+
+    def test_count_over_the_cap(self, shifted):
+        # the rotated well at h = 0.1 on 64^2: the even block counts 10 pairs
+        # below the law's level 6, over its share 4 + 5, before any solve;
+        # the odd block is not tried
+        op, above = self.law("1 + 3*x^2 + 2*x*y + 2*y^2", 64, 0.1, 6)
+        Hs = symmetrized(op)
+        even, _ = es._parity_blocks(Hs, 1e-10)
+        assert es._count_below(es._factor(even, above, inertia=True)) == 10
+        assert self.falls_back(op, 6, above, shifted) == [0]
+
+    def test_pair_over_tol(self, shifted, monkeypatch):
+        # the first block's run returns a vector off by 1e-6 times another:
+        # its residual is over tol, so the run fails there
+        op, above = self.law("1 + x^2 + y^2", 64, 0.1, 6)
+        real = spla.eigsh
+
+        def eigsh(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            if kwargs["which"] == "SA":
+                vecs = vecs.copy()
+                vecs[:, 0] += 1e-6 * vecs[:, 1]
+            return vals, vecs
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        made = self.falls_back(op, 6, above, shifted)
+        assert len(made) == 1 and made[0] > 0
+
+    def test_far_pairs_converge_within_tol(self, shifted):
+        # the standard well at h = 0.5 on 64^2, m = 2: the law's level 2 lies
+        # above 6 eigenvalues, the lowest 1.2 below it; at the other runs'
+        # Krylov tolerance its residual came out 1.4e-10 > tol, at a tenth of
+        # it the run holds with every pair converged
+        op, above = self.law("1 + x^2 + y^2", 64, 0.5, 2)
+        res = smallest_eigenpairs(op, 2, tol=1e-10, above=above)
+        assert len(shifted) == 1 and not shifted[0][2]
+        assert res.shift == res.count_shift == above
+        assert np.all(res.converged)
+        today = smallest_eigenpairs(op, 2, tol=1e-10)
+        np.testing.assert_allclose(res.eigenvalues, today.eigenvalues,
+                                   rtol=1e-12, atol=0)
+
+    def test_singular_factor(self, shifted, monkeypatch):
+        op, above = self.law("1 + x^2 + y^2", 64, 0.1, 6)
+        real = es._factor
+
+        def singular(Hs, sigma, inertia):
+            if sigma == above:
+                raise RuntimeError("Factor is exactly singular")
+            return real(Hs, sigma, inertia)
+        monkeypatch.setattr(es, "_factor", singular)
+        assert self.falls_back(op, 6, above, shifted) == [0]
+
+    def test_arpack_stall(self, shifted, monkeypatch):
+        # the shifted Krylov loop stops early in the first block
+        op, above = self.law("1 + x^2 + y^2", 64, 0.1, 6)
+        real = spla.eigsh
+
+        def eigsh(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            if kwargs["which"] == "SA":
+                raise spla.ArpackNoConvergence("stopped early", vals[:1],
+                                               vecs[:, :1])
+            return vals, vecs
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        made = self.falls_back(op, 6, above, shifted)
+        assert len(made) == 1 and made[0] > 0
+
+    def test_value_within_the_margin(self, shifted):
+        # `above` tol above lambda_6: the count holds it, but it lies within
+        # 2 tol + 4 r of `above`, so its block fails
+        op, _ = self.law("1 + x^2 + y^2", 64, 0.1, 6)
+        lam = smallest_eigenpairs(op, 6, tol=1e-10).eigenvalues
+        made = self.falls_back(op, 6, lam[5] + 1e-10, shifted)
+        assert shifted[-1][2] and all(made)
+
+    def test_gate_admits_roundoff_at_tol_1e11(self, monkeypatch):
+        # the standard well at h = 0.1 on 143^2: the roundoff in Hs - P Hs P
+        # is 1.6e-12, over tol / 10 but within tol / 2 at tol = 1e-11, so the
+        # request splits in real blocks and agrees with one block
+        op = std_operator(143, h=0.1)
+        res = smallest_eigenpairs(op, 6, tol=1e-11)
+        assert res.blocks == 2 and res.real and np.all(res.converged)
+        monkeypatch.setattr(es, "_SPLIT_SMALL_DIM", op.dim + 1)
+        one = smallest_eigenpairs(op, 6, tol=1e-11)
+        assert one.blocks == 1 and np.all(one.converged)
+        np.testing.assert_allclose(res.eigenvalues, one.eigenvalues,
+                                   rtol=1e-12, atol=0)
+
+
 class TestEigenpairsNear:
     def test_matches_dense_window(self):
         op = std_operator(12, h=0.1)
@@ -755,9 +1005,9 @@ class TestEigenpairsNear:
         op = oscillator_operator()
         calls, real = [], es._arpack_near
 
-        def spy(Hs, sigma, m, tol, seed, count=None):
+        def spy(Hs, sigma, m, tol, seed, count=None, **kwargs):
             calls.append((Hs, m))
-            return real(Hs, sigma, m, tol, seed, count)
+            return real(Hs, sigma, m, tol, seed, count, **kwargs)
         monkeypatch.setattr(es, "_arpack_near", spy)
         res = eigenpairs_near(op, 1.3, 25, tol=1e-10)
         assert [c[1] for c in calls] == [14, 14, 25]
