@@ -27,7 +27,7 @@ from .hermite import hermite_norm_sq, hermite_poly, moment_table
 from .quasimode import (QuasimodeSpec, assemble_T2, build_leading_quasimode,
                         clipped_cutoff, residual)
 from .wellmodel import (FlatModelParams, flat_model_spectrum, mu_jk2,
-                        p_flat_spectrum)
+                        p_flat_spectrum, two_term_law)
 
 __all__ = ["main"]
 
@@ -88,7 +88,7 @@ def _cmd_solve(args, doc):
     h, n, m, tol = section(doc, "solve").values()
     well, gauge, grid, op = _operator(args, doc, h, n)
     # the two-term law's level m, expected above lambda_m
-    law = [h * well.b0 + h * h * mu_jk2(well, j, 0) for j in range(m + 1)]
+    law = [two_term_law(well, h, j) for j in range(m + 1)]
     res = smallest_eigenpairs(op, m, tol=tol, seed=doc["seed"], above=law[m])
     rows = [(j, float(res.eigenvalues[j]), law[j],
              float(res.residuals[j]), bool(res.converged[j]))

@@ -14,13 +14,15 @@ on a grid that aliases the field), where the transformed eigenvalues
 crowd together near 1/(h b0).  An unpivoted factor of Hs - tau I (SuperLU in
 symmetric mode, an LDL^H-type factor) counts the eigenvalues at or below tau:
 by Sylvester's law they are its nonpositive U-diagonal entries (Grimes, Lewis
-& Simon 1994).  At most two Krylov requests are made at sigma:
+& Simon 1994).  Each block tries a run list in order, and the first run whose
+certificate holds answers.  At most two Krylov requests are made at sigma:
 
 - The small request, for m <= 24, where the full request's basis would be
   set by its floor of 80 vectors: k = m + 2 pairs in 2k + 1 vectors within
   10 implicit restarts (Lehoucq & Sorensen 1996), on a symmetric-mode factor.
   It is kept only if the count at a tau in a gap above lambda_m
-  (`_gap_above`) equals the number of returned eigenvalues below tau.  That
+  (`_gap_above`) certifies its pairs (`_certified_below`): as many below tau
+  as counted, each more than 2 tol + 4 r from tau (r its residual).  That
   proves none below tau was missed, also none below sigma, so its Krylov
   factor is never counted.  Discarded before tau is factored (a stall, or
   no gap wide enough), it hands its factor to the full request.
@@ -34,22 +36,20 @@ by Sylvester's law they are its nonpositive U-diagonal entries (Grimes, Lewis
   off the diagonal rerun it at the floor min(0, min V), a proven lower
   bound, with the pivoted factor.
 
-The shifted run.  A caller that expects a point `above` to lie above
-lambda_m (`magspec solve` passes the two-term law's level m,
-h b0 + h^2 mu_{m,0}) lets a request for m <= 24 skip the factor at sigma:
-each block is factored once at `above` in symmetric mode, and that factor's
-count c_b comes first.  ARPACK then seeks, on the same factor, the c_b
-algebraically smallest 1/(lambda - above) in 2 c_b + 1 vectors within 30
-restarts, to a tenth of the other runs' tolerance (`_arpack_below`): they
-are exactly the c_b eigenvalues below `above`.  The union's m smallest answer only if every block returns c_b
-values, each more than 2 tol + 4 r below `above` with residual r <= tol
-(`_certified_below`), each c_b is at least 1 and at most the block's share
-m_b (below) plus 5, and the blocks hold at least m pairs in all.  Then the
-count at `above`, as the count above lambda_m of the small request, proves
-the pairs complete, with one factor per block instead of two.  At the first
-check that fails the run list above answers, on every block.  On the curved
-well at h = 0.05 (two real blocks of 57,461 unknowns, m = 6) the counts at
-the law's level 6 are 5 and 4.
+A caller that expects a point `above` to lie above lambda_m (`magspec
+solve` passes the two-term law's level m, h b0 + h^2 mu_{m,0}) puts the
+shifted run (above, "below") first in the list of a request for m <= 24
+(`_arpack_below`): the block is factored once at `above` in symmetric mode,
+and that factor's count c comes first.  If 0 < c < 40, so that its basis of
+2c + 1 vectors stays below the full request's floor, ARPACK seeks on the
+same factor the c algebraically smallest 1/(lambda - above) within 30
+restarts, to a tenth of the other runs' tolerance: they are exactly the c
+eigenvalues below `above`, certified as the small request's.  The run then
+answers with every pair below `above`, its bound, from one factor instead of
+two.  A block whose shifted run fails goes on down its list, and the blocks
+after it skip that run.  On the curved well at h = 0.05 (two real blocks of
+57,461 unknowns, m = 6) the counts at the law's level 6 are 5 and 4; on the
+rotated well 1 + 3x^2 + 2xy + 2y^2 at h = 0.1 on 64^2 they are 10 and 10.
 
 The parity split.  The experiments' fields are unchanged by the rotation by
 pi about the domain centre, on a centred grid the index reversal P (node
@@ -57,12 +57,14 @@ k -> dim-1-k).  If the symmetry gate admits E = Hs - P Hs P, a request for
 m >= 25 pairs, or for m >= 6 on at least 4,096 unknowns, is solved as an
 even and an odd block of half the size (`_parity_blocks`, `blocks` = 2),
 at the bottom or near a target alike: the rule reads m and dim, not the
-request's runs.  Each block runs the whole run list (small request, full
-request, floor; or the run at the target) for its m_b = ceil(m/2) + 1
-pairs first in the request's order (smallest, or nearest the target), as
-one block keeps m of m + 5.  The union's pairs up to T, the nearer of the
-two m_b-th, answer if at least m; else the block that set T runs again
-with m_b = m.  Other requests are one block, whose first m pairs answer.
+request's runs.  Each block runs the whole run list (shifted run, small
+request, full request, floor; or the run at the target) for its
+m_b = ceil(m/2) + 1 pairs first in the request's order (smallest, or
+nearest the target), as one block keeps m of m + 5.  A block's bound is its
+m_b-th pair, or `above` if the shifted run answered it.  The union's pairs
+up to T, the nearest of the blocks' bounds, answer if at least m; else the
+block that set T runs its list again for m_b = m, without the shifted run.
+Other requests are one block, m_b = m, under the same rule.
 A split small request makes about 1.7 times the solves of one block, each on
 a half-size real block (below), but factors each block twice (the Krylov
 factor and the count; once in the shifted run), which on large grids takes
@@ -108,11 +110,12 @@ refuses, which is its own form.
 
 `EigenResult.shift` records the shift-invert shift of the run that was kept
 (of two blocks, the lower), `count_shift` the shift of the count that
-certified it (tau or sigma; of two blocks, the lower of their two, since
-each proves its block complete below its own; None if any answer is
-uncertified; both are `above` for the shifted run), and `iterations` the
-shift-invert solves of every run of every block, a failed shifted run's
-too.
+certified it (tau, sigma, or `above` for the shifted run; of two blocks, the
+lower of their two, since each proves its block complete below its own;
+None if any answer is uncertified).  So if the shifted run answered one
+block and the small request the other, `shift` is that request's sigma and
+`count_shift` the lower of `above` and its tau.  `iterations` counts the
+shift-invert solves of every run of every block, a failed shifted run's too.
 
 A solve keeps each block's kept columns and Q, and embeds 16 columns at a
 time for the residuals.  `EigenResult.eigenvectors` is built on first read:
@@ -162,9 +165,9 @@ class EigenResult:
     iterations: int  # shift-invert solves (OPinv applications)
     converged: np.ndarray  # bool per pair
     shift: float  # the shift-invert shift of the run that was kept
-    # shift of the inertia count that certified the run: tau above lambda_m,
-    # or sigma; of two blocks, the lower of theirs; None for an uncertified
-    # run (at the floor, or near a target)
+    # shift of the inertia count that certified the run: tau or `above`
+    # above lambda_m, or sigma; of two blocks, the lower of theirs; None for
+    # an uncertified run (at the floor, or near a target)
     count_shift: float = None
     blocks: int = 1  # 2 when solved as two parity blocks
     real: bool = False  # every block's Krylov loop ran in real arithmetic
@@ -221,34 +224,32 @@ def _residuals(Hs, vals, vecs):
 
 
 def _gap_above(Hs, vals, vecs, m: int, tol: float):
-    """(tau, below): the shift of an inertia count above the m-th smallest of
-    `vals` and the number of them below it, or None if no gap is wide enough.
+    """tau, the shift of an inertia count above the m-th smallest of `vals`,
+    or None if no gap is wide enough.
 
-    tau is the midpoint of the first gap at or above the m-th value that is
-    wider than 2 tol + 4 (r_i + r_{i+1}), r the residuals of the pairs
-    (vals, vecs) of Hs, so a residual-sized error cannot carry an eigenvalue
-    across tau: a count of `below` at tau then proves the pairs hold every
-    eigenvalue below it.
+    tau is the midpoint of the first gap at or above the m-th value that lies
+    more than 2 tol + 4 r from both of its ends, r the residuals of the pairs
+    (vals, vecs) of Hs: the margin by which `_certified_below` then checks
+    every pair against the count at tau.
     """
     order = np.argsort(vals)
     vals, res = vals[order], _residuals(Hs, vals, vecs)[order]
-    wide = np.flatnonzero(np.diff(vals)[m - 1:]
-                          > 2 * tol + 4 * (res[m - 1:-1] + res[m:]))
-    if wide.size == 0:
-        return None
-    below = m + int(wide[0])
-    return float(0.5 * (vals[below - 1] + vals[below])), below
+    margin, mid = 2 * tol + 4 * res, 0.5 * (vals[:-1] + vals[1:])
+    wide = np.flatnonzero(((mid - vals[:-1] > margin[:-1])
+                           & (vals[1:] - mid > margin[1:]))[m - 1:])
+    return None if wide.size == 0 else float(mid[m - 1 + wide[0]])
 
 
 def _certified_below(Hs, vals, vecs, tau: float, count: int,
                      tol: float) -> bool:
-    """Whether the pairs (vals, vecs) of Hs are every eigenpair below tau,
-    given `count`, the inertia count at tau: as many pairs as counted, each
-    with residual r <= tol and more than 2 tol + 4 r below tau, so that none
-    is an eigenvalue above tau carried below it by a residual-sized error."""
-    res = _residuals(Hs, vals, vecs)
-    return (vals.size == count and bool(np.all(res <= tol))
-            and bool(np.all(tau - vals > 2 * tol + 4 * res)))
+    """Whether the pairs (vals, vecs) of Hs below tau are every eigenpair
+    below it, given `count`, the inertia count at tau: as many below tau as
+    counted, each with residual r <= tol, and every pair more than 2 tol + 4 r
+    from tau, so that none is an eigenvalue carried across tau by a
+    residual-sized error."""
+    res, below = _residuals(Hs, vals, vecs), vals < tau
+    return (np.count_nonzero(below) == count and bool(np.all(res[below] <= tol))
+            and bool(np.all(np.abs(vals - tau) > 2 * tol + 4 * res)))
 
 
 def _lanczos(Hs, lu, sigma: float, k: int, ncv: int, maxiter: int,
@@ -285,10 +286,11 @@ def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
     shift of the inertia count that certified the pairs.
 
     `count` names the request and its certificate: "above" the small request,
-    certified by a count above lambda_m (`_gap_above`) once the Krylov factor
-    is freed; "sigma" the full request, certified by a count of 0 at sigma;
-    None the full request, uncertified.  A certified request returns (None,
-    None) pairs when it stalls (small request only) or its certificate fails.
+    certified by a count at tau above lambda_m (`_gap_above`,
+    `_certified_below`) once the Krylov factor is freed; "sigma" the full
+    request, certified by a count of 0 at sigma; None the full request,
+    uncertified.  A certified request returns (None, None) pairs when it
+    stalls (small request only) or its certificate fails.
     A small request discarded before its count above (a stall, or no gap wide
     enough) leaves its factor in `spare`, keyed by sigma, and the next request
     at sigma takes it from there instead of factoring Hs again.
@@ -314,19 +316,19 @@ def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
     if count == "sigma" and _count_below(lu) != 0:
         return None, None, solves, None
     if small:
-        gap = None if stopped is not None else _gap_above(Hs, vals, vecs, m,
-                                                           tol)
-        if gap is None:
+        tau = None if stopped is not None else _gap_above(Hs, vals, vecs, m,
+                                                          tol)
+        if tau is None:
             if spare is not None:
                 spare[sigma] = lu
             return None, None, solves, None
         del lu  # the count above lambda_m factors Hs again
-        tau, below = gap
         try:
             counted = _count_below(_factor(Hs, tau, inertia=True))
         except RuntimeError:  # exactly singular: tau is an eigenvalue
             counted = None
-        if counted != below:
+        if counted is None or not _certified_below(Hs, vals, vecs, tau,
+                                                   counted, tol):
             return None, None, solves, None
         return vals, vecs, solves, tau
     if stopped is not None and vals.size < m:
@@ -335,23 +337,25 @@ def _arpack_near(Hs, sigma: float, m: int, tol: float, seed: int,
     return vals, vecs, solves, sigma if count else None
 
 
-def _arpack_below(Hs, tau: float, cap: int, tol: float, seed: int):
-    """Every eigenpair of Hs below tau from one factor of Hs - tau I, and the
-    shift-invert solves made, or (None, None, solves) if that run fails.
+def _arpack_below(Hs, tau: float, tol: float, seed: int):
+    """Every eigenpair of Hs below tau from one factor of Hs - tau I: as
+    `_arpack_near`'s (vals, vecs, solves, count shift), with (None, None)
+    pairs if that run fails.
 
     The factor's inertia count c comes first: a singular factor, pivots off
-    the diagonal, c = 0 or c > `cap` fail before any solve.  On that same factor
-    ARPACK then seeks the c algebraically smallest 1/(lambda - tau), which
-    are the c eigenvalues below tau, in 2c + 1 vectors; a stall fails, and
-    so do pairs that `_certified_below` does not accept.
+    the diagonal, c = 0, or a basis of 2c + 1 vectors that would reach the
+    full request's floor `_NCV_FLOOR` (or dim) fail before any solve.  On
+    that same factor ARPACK then seeks the c algebraically smallest
+    1/(lambda - tau), which are the c eigenvalues below tau; a stall fails,
+    and so do pairs that `_certified_below` does not accept.
     """
     try:
         lu = _factor(Hs, tau, inertia=True)
     except RuntimeError:  # exactly singular: tau is an eigenvalue
-        return None, None, 0
+        return None, None, 0, None
     c = _count_below(lu)
-    if c is None or not 0 < c <= cap:
-        return None, None, 0
+    if c is None or not 0 < c < min(_NCV_FLOOR, Hs.shape[0]) / 2:
+        return None, None, 0, None
     # a tenth of the other runs' Krylov tolerance: ARPACK measures a pair in
     # 1/(lambda - tau), and the one farthest below tau met that measure with
     # a residual over tol (1.4e-10 at tol = 1e-10 on the standard well at
@@ -361,20 +365,24 @@ def _arpack_below(Hs, tau: float, cap: int, tol: float, seed: int):
                                            which="SA")
     if stopped is not None or not _certified_below(Hs, vals, vecs, tau, c,
                                                    tol):
-        return None, None, solves
-    return vals, vecs, solves
+        return None, None, solves, None
+    return vals, vecs, solves, tau
 
 
 def _run(Hs, runs, m: int, tol: float, seed: int):
-    """(vals, vecs, solves, shift, count shift) of the first of `runs` whose
-    certificate holds on Hs, the solves summed over every run made."""
+    """(vals, vecs, solves, shift, count shift, bound) of the first of `runs`
+    whose certificate holds on Hs, the solves summed over every run made.
+    A "below" run (`_arpack_below`) returns every pair below its shift, its
+    bound; the others return None, and their first m pairs answer."""
     solves, spare = 0, {}  # a discarded small request's factor (`_arpack_near`)
     for sigma, count in runs:
-        vals, vecs, more, count_shift = _arpack_near(Hs, sigma, m, tol, seed,
-                                                     count=count, spare=spare)
+        vals, vecs, more, count_shift = (
+            _arpack_below(Hs, sigma, tol, seed) if count == "below" else
+            _arpack_near(Hs, sigma, m, tol, seed, count=count, spare=spare))
         solves += more
         if vals is not None:
-            return vals, vecs, solves, sigma, count_shift
+            return (vals, vecs, solves, sigma, count_shift,
+                    sigma if count == "below" else None)
 
 
 def _symmetric(E, tol: float) -> bool:
@@ -423,55 +431,36 @@ def _real_form(B, tol: float, grid, odd: bool):
     return (Q.conj().T @ (0.5 * (B + SBS)) @ Q).real.tocsc(), Q
 
 
-def _shifted_run(forms, above: float, wants, m: int, tol: float, seed: int):
-    """The shifted run (module docstring): each block's `_arpack_below` at
-    `above`, capped at its share of `wants` plus `_CLUSTER_MARGIN`, as
-    `_run`'s tuples, or None at the first block that fails or if the blocks
-    hold fewer than m pairs; then the solves made."""
-    out, solves = [], 0
-    for (form, _), k in zip(forms, wants):
-        vals, vecs, more = _arpack_below(form, above, k + _CLUSTER_MARGIN, tol,
-                                         seed)
-        solves += more
-        if vals is None:
-            return None, solves
-        out.append((vals, vecs, more, above, above))
-    return (out if sum(o[0].size for o in out) >= m else None), solves
-
-
-def _union_pairs(forms, runs, m: int, tol: float, seed: int, key,
-                 above: float = None):
+def _union_pairs(forms, runs, m: int, tol: float, seed: int, key):
     """The m pairs of Hs first by `key(vals)` from its one or two block
-    `forms`: from the shifted run at `above` if it holds (`_shifted_run`),
-    else by the union rule (module docstring).  Returns their values;
+    `forms`, by the union rule (module docstring).  Returns their values;
     `order`, the index of each answer in the blocks' kept columns,
     concatenated; each block's kept columns with its form's Q; then the
     solves of every run, the shift and count shift, and whether every block
     ran in real arithmetic."""
     wants = [m] if len(forms) == 1 else [m // 2 + m % 2 + 1] * 2
-    out, solves = (_shifted_run(forms, above, wants, m, tol, seed)
-                   if above is not None else (None, 0))
-    if out is not None:  # every pair below `above` is certified
-        kept = [np.arange(o[0].size) for o in out]
-        vals = np.concatenate([o[0] for o in out])
-        below = np.arange(vals.size)
-    else:
-        out = [_run(f[0], runs, k, tol, seed) for f, k in zip(forms, wants)]
-        solves += sum(o[2] for o in out)
-        while True:
-            kept = [np.argsort(key(o[0]))[:k] for o, k in zip(out, wants)]
-            tops = [key(o[0][i[-1]]) for o, i in zip(out, kept)]
-            vals = np.concatenate([o[0][i] for o, i in zip(out, kept)])
-            below = np.flatnonzero(key(vals) <= min(tops))
-            if below.size >= m:
-                break
-            short = int(np.argmin(tops))
-            if wants[short] == m:
-                raise DomainError(
-                    f"parity blocks gave {below.size} of {m} pairs")
-            wants[short], out[short] = m, _run(forms[short][0], runs, m, tol,
-                                               seed)
-            solves += out[short][2]
+    plain, out = [r for r in runs if r[1] != "below"], []
+    for (form, _), k in zip(forms, wants):
+        out.append(_run(form, runs, k, tol, seed))
+        if out[-1][5] is None:  # a failed shifted run is not tried again
+            runs = plain
+    solves = sum(o[2] for o in out)
+    while True:
+        # every pair up to a block's bound: its shift, or its k-th pair
+        kept = [np.argsort(key(o[0]))[:k if o[5] is None else None]
+                for o, k in zip(out, wants)]
+        tops = [key(o[0][i[-1]] if o[5] is None else o[5])
+                for o, i in zip(out, kept)]
+        vals = np.concatenate([o[0][i] for o, i in zip(out, kept)])
+        below = np.flatnonzero(key(vals) <= min(tops))
+        if below.size >= m:
+            break
+        short = int(np.argmin(tops))
+        if wants[short] == m and out[short][5] is None:
+            raise DomainError(f"parity blocks gave {below.size} of {m} pairs")
+        wants[short], out[short] = m, _run(forms[short][0], plain, m, tol,
+                                           seed)
+        solves += out[short][2]
     order = below[np.argsort(key(vals[below]), kind="stable")][:m]
     counts = [o[4] for o in out]
     return (vals[order], order,
@@ -482,12 +471,11 @@ def _union_pairs(forms, runs, m: int, tol: float, seed: int, key,
 
 
 def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
-                        seed: int, key, above: float = None) -> EigenResult:
+                        seed: int, key) -> EigenResult:
     """The m pairs of the pencil nearest the shift of the first of `runs`
-    whose certificate holds, ordered by `key(vals)`, or the m smallest from
-    the shifted run at `above` if it holds.
+    whose certificate holds, ordered by `key(vals)`.
 
-    `runs` are (shift, count) requests for `_arpack_near`; the last one is
+    `runs` are (shift, count) requests for `_run`; the last one is
     uncertified, so it answers if no earlier one does.  `_union_pairs`
     answers from Hs or, by the split rule (module docstring), its blocks.
     Each pair is certified by its residual ||H v - lambda M v|| / ||M v|| <= tol.
@@ -508,7 +496,7 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
               for odd, B in enumerate(blocks or ())]
     del blocks
     vals, order, kept, solves, sigma, count_shift, real = _union_pairs(
-        forms, runs, m, tol, seed, key, above)
+        forms, runs, m, tol, seed, key)
     del forms  # each block's R; its columns map back through Q alone
     half, ne, s = n // 2, kept[0][0].shape[1], np.sqrt(0.5)
 
@@ -552,24 +540,24 @@ def smallest_eigenpairs(op: AssembledOperator, m: int, tol: float = 1e-10,
                         seed: int = 0, above: float = None) -> EigenResult:
     """The m algebraically smallest eigenpairs of H v = lambda M v.
 
-    `above`, a point the caller expects above lambda_m, lets a request for
-    m <= 24 pairs try the shifted run first: one factor per block at `above`,
-    whose count certifies the pairs below it (module docstring).  Otherwise,
-    or if that run fails, the shift sits just below the operator's `bottom`
-    estimate.  The small request there is kept when a count above lambda_m
-    certifies it, the full request when a count at the shift certifies that
-    no eigenvalue lies below it; otherwise the full request runs at the
-    `floor` min(0, min V), a lower bound of the spectrum.  Either way the
-    eigenvalues nearest the shift are the smallest.
+    `above`, a point the caller expects above lambda_m, puts the shifted run
+    first in a request for m <= 24 pairs: one factor per block at `above`,
+    whose count certifies every pair below it (module docstring).  A block
+    where it fails, and every block after, shifts just below the operator's
+    `bottom` estimate.  The small request there is kept when a count above
+    lambda_m certifies it, the full request when a count at the shift
+    certifies that no eigenvalue lies below it; otherwise the full request
+    runs at the `floor` min(0, min V), a lower bound of the spectrum.  Either
+    way the eigenvalues nearest the shift are the smallest.
     """
     sigma = op.floor + _BELOW_BOTTOM * (op.bottom - op.floor)
     # the small request only where the basis floor sets the full one's ncv
     small = 2 * (m + _CLUSTER_MARGIN) + 20 < _NCV_FLOOR
-    runs = [(sigma, "above")] if small else []
+    runs = [(above, "below")] if small and above is not None else []
+    runs += [(sigma, "above")] if small else []
     runs += ([(sigma, "sigma"), (op.floor, None)] if sigma > op.floor
              else [(sigma, None)])
-    return _shift_invert_pairs(op, runs, m, tol, seed, key=lambda v: v,
-                               above=above if small else None)
+    return _shift_invert_pairs(op, runs, m, tol, seed, key=lambda v: v)
 
 
 def eigenpairs_near(op: AssembledOperator, target: float, m: int,

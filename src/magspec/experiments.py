@@ -24,7 +24,7 @@ from .fieldgeom import (FieldSetup, GaugePotential, Rectangle, gauge_from_field,
                         polynomial_B, well_data)
 from .quasimode import (QuasimodeSpec, build_leading_quasimode, clipped_cutoff,
                         residual)
-from .wellmodel import WellData, mu_jk2
+from .wellmodel import WellData, mu_jk2, two_term_law
 
 __all__ = [
     "SCHEMA",
@@ -344,7 +344,7 @@ def run_sweep(config: SweepConfig) -> list:
                 records.append(SweepRecord(
                     h=h, j=j,
                     lambda_computed=float(lam[j]),
-                    lambda_predicted=h * well.b0 + h * h * mu_jk2(well, j, 0),
+                    lambda_predicted=two_term_law(well, h, j),
                     solver_residual=float(res.residuals[j]),
                     quasimode_residual=qres if j == 0 else math.nan,
                     n=grid.nx))

@@ -24,6 +24,7 @@ __all__ = [
     "FlatModelParams",
     "derive_invariants",
     "mu_jk2",
+    "two_term_law",
     "flat_model_spectrum",
     "p_flat_spectrum",
 ]
@@ -121,6 +122,11 @@ def mu_jk2(well: WellData, j: int, k: int) -> float:
     return ((2 * j + 1) * (2 * k + 1) * math.sqrt(inv.d) / well.b0
             + (2 * k * k + 2 * k + 1) * inv.t / (2 * well.b0)
             + 0.5 * (k * k + k) * well.R0)
+
+
+def two_term_law(well: WellData, h: float, j: int) -> float:
+    """The two-term law's level j, h b0 + h^2 mu_{j,0,2}."""
+    return h * well.b0 + h * h * mu_jk2(well, j, 0)
 
 
 def _frequencies(params: FlatModelParams):

@@ -183,14 +183,15 @@ class TestCertifiedShift:
         # diag(1, 2, 3, 4) with pairs that omit 2 and hold 3's vector at 2.5
         # (a value that crossed tau) and 4's at 2.9: a count at tau = 2.7 is
         # 2, as many as the returned values below it, so only the margin
-        # 2 tol + 4 (r_i + r_{i+1}) keeps it from certifying the wrong pairs
+        # 2 tol + 4 r on both ends of the gap keeps it from certifying the
+        # wrong pairs
         Hs = sp.diags([1.0, 2.0, 3.0, 4.0]).tocsc()
         e = np.eye(4)
         assert es._count_below(es._factor(Hs, 2.7, inertia=True)) == 2
         crossed = (np.array([1.0, 2.5, 2.9]), e[:, [0, 2, 3]])
         assert es._gap_above(Hs, *crossed, 2, 1e-10) is None
         exact = (np.array([3.0, 1.0, 2.0]), e[:, [2, 0, 1]])
-        assert es._gap_above(Hs, *exact, 2, 1e-10) == (2.5, 2)
+        assert es._gap_above(Hs, *exact, 2, 1e-10) == 2.5
 
     def test_certified_below_needs_a_margin(self):
         # diag(1, 2, 3, 10) counts 2 below tau = 2.995; pairs that omit 2 and
@@ -208,6 +209,18 @@ class TestCertifiedShift:
                                        tau, 2, tol)
         assert not es._certified_below(Hs, np.array([1.0]), e[:, :1], tau, 2,
                                        tol)
+
+    def test_certified_below_checks_both_sides(self):
+        # diag(1, 2, 3, 10) counts 2 below tau = 2.5; a pair above tau within
+        # 2 tol + 4 r of it is refused as one below would be, since its value
+        # does not tell on which side of tau its eigenvalue lies (here 3's
+        # vector at 2.51, residual 0.49)
+        Hs = sp.diags([1.0, 2.0, 3.0, 10.0]).tocsc()
+        e, tau, tol = np.eye(4), 2.5, 1e-2
+        assert es._certified_below(Hs, np.array([1.0, 2.0, 3.0]), e[:, :3],
+                                   tau, 2, tol)
+        assert not es._certified_below(Hs, np.array([1.0, 2.0, 2.51]),
+                                       e[:, :3], tau, 2, tol)
 
     def test_standard_well_uses_certified_shift(self):
         # the small request answers, certified by the count above lambda_6:
@@ -772,7 +785,7 @@ class TestSplitSmallRequest:
             sigma = op.floor + es._BELOW_BOTTOM * (op.bottom - op.floor)
             runs = [(sigma, "above"), (sigma, "sigma"), (op.floor, None)]
             key = lambda v: v
-        vals, vecs, solves, shift, count = es._run(Hs, runs, m, 1e-10, 0)
+        vals, vecs, solves, shift, count, _ = es._run(Hs, runs, m, 1e-10, 0)
         order = np.argsort(key(vals))[:m]
         vecs = vecs[:, order] * (1.0 / np.sqrt(op.M))[:, None]
         Mv = op.M[:, None] * vecs
@@ -785,9 +798,10 @@ class TestSplitSmallRequest:
 
 
 class TestShiftedRun:
-    """`above`, a point expected above lambda_m: one factor per block there,
-    whose count certifies the pairs below it, or today's runs if any check
-    fails."""
+    """`above`, a point expected above lambda_m: each block runs
+    (above, "below") first in its run list, one factor whose count certifies
+    every pair below it; a block where it fails goes on down its list, and
+    the blocks after it skip it."""
 
     @staticmethod
     def law(b, n, h, m):
@@ -801,14 +815,28 @@ class TestShiftedRun:
 
     @pytest.fixture
     def shifted(self, monkeypatch):
-        """(block dim, solves, failed) of every shifted block run."""
-        log, real = [], es._arpack_below
+        """(block dim, solves, failed) of every shifted block run; a block
+        that tried it once never tries it again."""
+        log, seen, real = [], [], es._arpack_below
 
         def spy(Hs, *args):
+            assert not any(B is Hs for B in seen), "a second shifted run"
+            seen.append(Hs)
             out = real(Hs, *args)
             log.append((Hs.shape[0], out[2], out[0] is None))
             return out
         monkeypatch.setattr(es, "_arpack_below", spy)
+        return log
+
+    @pytest.fixture
+    def block_runs(self, monkeypatch):
+        """(block, runs, m, answer) of every `_run` of a block."""
+        log, real = [], es._run
+
+        def spy(Hs, runs, m, tol, seed):
+            log.append((Hs, list(runs), m, real(Hs, runs, m, tol, seed)))
+            return log[-1][3]
+        monkeypatch.setattr(es, "_run", spy)
         return log
 
     @pytest.fixture
@@ -865,24 +893,103 @@ class TestShiftedRun:
         assert np.all(res.converged)
         return made
 
-    def test_too_few_below_above(self, shifted):
-        # `above` between lambda_5 and lambda_6: both blocks' runs hold, but
-        # 5 < 6 pairs lie below it
+    @staticmethod
+    def same_as_plain(call, runs):
+        """`call`'s answer is bit for bit its block's run list without the
+        shifted entry; that run's solves."""
+        Hs, _, m, out = call
+        plain = [r for r in runs if r[1] != "below"]
+        again = es._run(Hs, plain, m, 1e-10, 0)
+        np.testing.assert_array_equal(out[0], again[0])
+        np.testing.assert_array_equal(out[1], again[1])
+        assert out[3:] == again[3:] and out[5] is None
+        return again[2]
+
+    def test_union_keeps_every_pair_below_the_bound(self, factors):
+        # diagonal blocks whose 8 values below `above` = 6.5 split 6 and 2,
+        # more than the even block's share of 4: its shifted run answers
+        # with all 6, and the union's 6 smallest take 5 of them
+        even = sp.diags(np.r_[1.0:7.0, 20.0:54.0]).tocsc()
+        odd = sp.diags(np.r_[5.5, 6.2, 30.0:68.0]).tocsc()
+        runs = [(6.5, "below"), (0.5, "above"), (0.5, "sigma"), (0.0, None)]
+        vals, order, kept, solves, shift, count, real = es._union_pairs(
+            [(even, None), (odd, None)], runs, 6, 1e-10, 0, key=lambda v: v)
+        np.testing.assert_allclose(vals, [1, 2, 3, 4, 5, 5.5], rtol=1e-12)
+        assert factors == [6.5, 6.5] and shift == count == 6.5
+        assert [k[0].shape[1] for k in kept] == [6, 2] and not real
+
+    def test_too_few_below_above(self, shifted, factors, block_runs):
+        # `above` between lambda_5 and lambda_6: both blocks' shifted runs
+        # hold, but 5 < 6 pairs lie below it, so each block reruns its list
+        # without the shifted entry for 6 pairs
         op, _ = self.law("1 + x^2 + y^2", 64, 0.1, 6)
         lam = smallest_eigenpairs(op, 6, tol=1e-10).eigenvalues
-        made = self.falls_back(op, 6, 0.5 * (lam[4] + lam[5]), shifted)
-        assert len(made) == 2 and all(made)
+        above = 0.5 * (lam[4] + lam[5])
+        factors.clear()
+        block_runs.clear()
+        res = smallest_eigenpairs(op, 6, tol=1e-10, above=above)
         assert [r[2] for r in shifted] == [False, False]
+        assert len(factors) == 6 and factors[:2] == [above, above]
+        calls = list(block_runs)
+        first, reruns = calls[:2], calls[2:]
+        assert [c[3][5] for c in first] == [above, above]
+        assert len(reruns) == 2 and {id(c[0]) for c in reruns} == {
+            id(c[0]) for c in first}
+        for call in reruns:
+            assert call[2] == 6 and all(r[1] != "below" for r in call[1])
+            assert self.same_as_plain(call, first[0][1]) == call[3][2]
+        np.testing.assert_array_equal(res.eigenvalues, np.sort(np.concatenate(
+            [np.sort(c[3][0])[:6] for c in reruns]))[:6])
+        assert res.count_shift > res.eigenvalues[-1] > above
+        assert res.iterations == sum(c[3][2] for c in calls)
+        assert np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, lam, rtol=1e-12, atol=0)
 
     def test_count_over_the_cap(self, shifted):
-        # the rotated well at h = 0.1 on 64^2: the even block counts 10 pairs
-        # below the law's level 6, over its share 4 + 5, before any solve;
-        # the odd block is not tried
-        op, above = self.law("1 + 3*x^2 + 2*x*y + 2*y^2", 64, 0.1, 6)
-        Hs = symmetrized(op)
-        even, _ = es._parity_blocks(Hs, 1e-10)
-        assert es._count_below(es._factor(even, above, inertia=True)) == 10
-        assert self.falls_back(op, 6, above, shifted) == [0]
+        # the rotated well at h = 0.1 on 64^2 with `above` at the law's level
+        # 20: each block counts 59 pairs below it, whose basis of 119 vectors
+        # is over the full request's floor of 80; the even block fails before
+        # any solve and the odd block does not try the shifted run
+        op, above = self.law("1 + 3*x^2 + 2*x*y + 2*y^2", 64, 0.1, 20)
+        even, odd = es._parity_blocks(symmetrized(op), 1e-10)
+        for B in (even, odd):
+            assert es._count_below(es._factor(B, above, inertia=True)) == 59
+        assert self.falls_back(op, 20, above, shifted) == [0]
+
+    def test_cap_is_below_the_basis_floor(self):
+        # diag(1, ..., 200): 39 values below tau take a basis of 79 < 80
+        # vectors and are found; 40 would take 81 and fail before any solve;
+        # on 64 unknowns the basis must also fit in dim (31 found, 32 fail)
+        for n, c in ((200, 39), (64, 31)):
+            Hs = sp.diags(np.arange(1.0, n + 1)).tocsc()
+            vals, vecs, solves, tau = es._arpack_below(Hs, c + 0.5, 1e-10, 0)
+            np.testing.assert_allclose(np.sort(vals), np.arange(1.0, c + 1),
+                                       rtol=1e-12, atol=0)
+            assert solves > 0 and tau == c + 0.5
+            assert es._arpack_below(Hs, c + 1.5, 1e-10, 0) == (None, None, 0,
+                                                               None)
+
+    @pytest.mark.parametrize("n, blocks, plain", [(64, 2, 4), (40, 1, 2)])
+    def test_rotated_well_at_the_law(self, shifted, factors, n, blocks,
+                                     plain):
+        # the rotated well at h = 0.1, m = 6: 10 pairs in each block below
+        # the law's level 6 on 64^2, 22 on one complex block on 40^2; each
+        # block's shifted run answers with one factor, where the small
+        # request takes two (a shifted run capped at the block's share plus
+        # 5 refused these counts and made 5 and 3 factors in all)
+        op, above = self.law("1 + 3*x^2 + 2*x*y + 2*y^2", n, 0.1, 6)
+        res = smallest_eigenpairs(op, 6, tol=1e-10, above=above)
+        assert factors == [above] * blocks
+        assert [r[2] for r in shifted] == [False] * blocks
+        assert res.blocks == blocks and not res.real
+        assert res.shift == res.count_shift == above
+        assert res.iterations == sum(r[1] for r in shifted)
+        assert np.all(res.converged)
+        factors.clear()
+        today = smallest_eigenpairs(op, 6, tol=1e-10)
+        assert len(factors) == plain
+        np.testing.assert_allclose(res.eigenvalues, today.eigenvalues,
+                                   rtol=1e-12, atol=0)
 
     def test_pair_over_tol(self, shifted, monkeypatch):
         # the first block's run returns a vector off by 1e-6 times another:
@@ -940,13 +1047,29 @@ class TestShiftedRun:
         made = self.falls_back(op, 6, above, shifted)
         assert len(made) == 1 and made[0] > 0
 
-    def test_value_within_the_margin(self, shifted):
+    def test_value_within_the_margin(self, shifted, factors, block_runs):
         # `above` tol above lambda_6: the count holds it, but it lies within
-        # 2 tol + 4 r of `above`, so its block fails
+        # 2 tol + 4 r of `above`, so the odd block's shifted run fails and
+        # that block answers from the rest of its list; the even block keeps
+        # its shifted run and its one factor
         op, _ = self.law("1 + x^2 + y^2", 64, 0.1, 6)
         lam = smallest_eigenpairs(op, 6, tol=1e-10).eigenvalues
-        made = self.falls_back(op, 6, lam[5] + 1e-10, shifted)
-        assert shifted[-1][2] and all(made)
+        above = lam[5] + 1e-10
+        factors.clear()
+        block_runs.clear()
+        res = smallest_eigenpairs(op, 6, tol=1e-10, above=above)
+        assert [r[2] for r in shifted] == [False, True]
+        assert len(factors) == 4 and factors[:2] == [above, above]
+        assert above not in factors[2:]
+        held, failed = list(block_runs)
+        assert held[3][5] == above and held[3][2] == shifted[0][1]
+        assert (self.same_as_plain(failed, held[1]) + shifted[1][1]
+                == failed[3][2])
+        np.testing.assert_array_equal(res.eigenvalues, np.sort(np.concatenate(
+            [held[3][0], np.sort(failed[3][0])[:failed[2]]]))[:6])
+        assert res.iterations == held[3][2] + failed[3][2]
+        assert np.all(res.converged)
+        np.testing.assert_allclose(res.eigenvalues, lam, rtol=1e-12, atol=0)
 
     def test_gate_admits_roundoff_at_tol_1e11(self, monkeypatch):
         # the standard well at h = 0.1 on 143^2: the roundoff in Hs - P Hs P

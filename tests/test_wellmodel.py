@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from magspec.errors import DomainError
 from magspec.wellmodel import (FlatModelParams, WellData, derive_invariants,
-                               flat_model_spectrum, mu_jk2, p_flat_spectrum)
+                               flat_model_spectrum, mu_jk2, p_flat_spectrum,
+                               two_term_law)
 
 
 def unit_well(**kw):
@@ -54,6 +55,14 @@ class TestMuJk2:
         assert mu_jk2(unit_well(R0=1.0), 0, 1) == pytest.approx(9.0, abs=1e-14)
         # curvature does not touch k = 0
         assert mu_jk2(unit_well(R0=1.0), 0, 0) == pytest.approx(2.0, abs=1e-14)
+
+    def test_two_term_law(self):
+        # h b0 + h^2 mu_{j,0,2}: 0.1 + 0.01 (2j + 2) on the unit well
+        for j in range(4):
+            assert two_term_law(unit_well(), 0.1, j) == pytest.approx(
+                0.1 + 0.01 * (2 * j + 2), rel=1e-14)
+        assert two_term_law(unit_well(b0=2.0), 0.1, 0) == (
+            0.2 + 0.01 * mu_jk2(unit_well(b0=2.0), 0, 0))
 
     def test_negative_indices_rejected(self):
         with pytest.raises(DomainError):
