@@ -26,6 +26,7 @@ __all__ = [
     "AssembledOperator",
     "assemble",
     "magnetic_form",
+    "pencil_residuals",
     "field_mass",
     "dump_matrix_market",
 ]
@@ -156,6 +157,14 @@ def magnetic_form(op: AssembledOperator, u) -> float:
     if v.size != op.dim:
         raise DomainError("dimension mismatch")
     return float(np.real(np.vdot(v, op.H @ v)))
+
+
+def pencil_residuals(op: AssembledOperator, V, vals) -> np.ndarray:
+    """||H v - lambda M v||_{M^{-1}} / ||v||_M of each column v of V and its
+    lambda in `vals`: ||Hs u - lambda u|| / ||u|| for u = M^{1/2} v."""
+    w = np.sqrt(op.M)[:, None]
+    return (np.linalg.norm((op.H @ V - vals * (op.M[:, None] * V)) / w, axis=0)
+            / np.linalg.norm(w * V, axis=0))
 
 
 def field_mass(setup, grid: Grid, u) -> float:

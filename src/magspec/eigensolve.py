@@ -52,18 +52,19 @@ after it skip that run.  On the curved well at h = 0.05 (two real blocks of
 rotated well 1 + 3x^2 + 2xy + 2y^2 at h = 0.1 on 64^2 they are 10 and 10.
 
 The parity split.  The experiments' fields are unchanged by the rotation by
-pi about the domain centre, on a centred grid the index reversal P (node
-k -> dim-1-k).  If the symmetry gate admits E = Hs - P Hs P, a request for
+pi about the domain centre, on a centred grid the index reversal F (node
+k -> dim-1-k).  If the symmetry gate admits E = Hs - F Hs F, a request for
 m >= 25 pairs, or for m >= 6 on at least 4,096 unknowns, is solved as an
-even and an odd block of half the size (`_parity_blocks`, `blocks` = 2),
-at the bottom or near a target alike: the rule reads m and dim, not the
-request's runs.  Each block runs the whole run list (shifted run, small
-request, full request, floor; or the run at the target) for its
-m_b = ceil(m/2) + 1 pairs first in the request's order (smallest, or
-nearest the target), as one block keeps m of m + 5.  A block's bound is its
-m_b-th pair, or `above` if the shifted run answered it.  The union's pairs
-up to T, the nearest of the blocks' bounds, answer if at least m; else the
-block that set T runs its list again for m_b = m, without the shifted run.
+even and an odd block of half the size, the projections P^T Hs P onto the
+parity bases P (`_parity_basis`, `_parity_blocks`, `blocks` = 2), at the
+bottom or near a target alike: the rule reads m and dim, not the request's
+runs.  Each block runs the whole run list (shifted run, small request, full
+request, floor; or the run at the target) for its m_b = ceil(m/2) + 1 pairs
+first in the request's order (smallest, or nearest the target), as one
+block keeps m of m + 5.  A block's bound is its m_b-th pair, or `above` if
+the shifted run answered it.  The union's pairs up to T, the nearest of the
+blocks' bounds, answer if at least m; else the block that set T runs its
+list again for m_b = m, without the shifted run.
 Other requests are one block, m_b = m, under the same rule.
 A split small request makes about 1.7 times the solves of one block, each on
 a half-size real block (below), but factors each block twice (the Krylov
@@ -77,10 +78,10 @@ at 262,144; for m = 12 and 24, 0.48-0.77 from 4,096 to 262,144; for m = 1 to
 Near a target there is no count: ACCEPTANCE 6's 12 pairs near a rung on
 143^2 to 544^2 nodes took 18.6 s split, 22.7 s on one block (medians of 3).
 
-The symmetry gate admits a defect E (Hs - P Hs P, or a block's, below) if
-sqrt(||E||_1 ||E||_inf) <= tol/2.  What is solved is the averaged operator
+The symmetry gate admits a defect E (Hs - F Hs F, or a block's, below) if
+sqrt(||E||_1 ||E||_inf) <= tol/2.  What is solved is the projected operator
 A - E/2, and ||E||_2 <= sqrt(||E||_1 ||E||_inf), so by Weyl's inequality
-each averaging moves every eigenvalue by at most tol/4, and the two (parity,
+each projection moves every eigenvalue by at most tol/4, and the two (parity,
 then the real form below) by at most tol/2.  A count's tau lies more than
 tol from the returned values on either side, so none is carried across it;
 residuals are measured on H itself.  E is roundoff of the Peierls phases:
@@ -91,22 +92,22 @@ tol = 1e-11) and 1.0e-11 at n = 362 (within tol/2 at the default 1e-10).
 Real arithmetic.  The experiments' fields are also even in y about the
 domain's centre line, and in the A1 = 0 gauge the node mirror R_y
 ((i, j) -> (i, ny-1-j)) then conjugates Hs: R_y Hs R_y = conj(Hs).  The
-antiunitary J = K R_y (K complex conjugation) commutes with P, so on each
+antiunitary J = K R_y (K complex conjugation) commutes with F, so on each
 block it acts as conjugation after a signed permutation S of the block
 index k = i ny + j: k -> i ny + ny-1-j with sign +1 for rows i < nx // 2,
 and fixed points on the middle row of an odd nx (sign +1 in the even block,
 -1 in the odd one) and at the centre node (+1).  If the gate admits
-E = B - conj(S B S), the block B, averaged with conj(S B S), is solved as
-the real symmetric R = Q^H B Q in the J-fixed basis Q: (e_k + e_Sk)/sqrt(2)
-and i(e_k - e_Sk)/sqrt(2) for a pair k < Sk, e_k or i e_k for a fixed k of
-sign +1 or -1 (`_real_form`).  The factor, the count and `eigsh` (ARPACK's
-real Lanczos) then run in real arithmetic, and each kept vector r maps back
-to Q r.  `EigenResult.real` is True when every block did.  A field
-symmetric under P but not under the mirror (a rotated well,
-1 + 3x^2 + 2xy + 2y^2) keeps complex blocks, and the one-block path stays
-complex.  A split request holds only the blocks' forms: Hs and the complex
-blocks are freed before the first factor, except a block whose gate
-refuses, which is its own form.
+E = B - conj(S B S), B is solved as the real symmetric R = Re(Q^H B Q) in
+the J-fixed basis Q: (e_k + e_Sk)/sqrt(2) and i(e_k - e_Sk)/sqrt(2) for a
+pair k < Sk, e_k or i e_k for a fixed k of sign +1 or -1 (`_real_form`).
+As conj(Q) = S Q, R is B averaged with conj(S B S) in that basis.  The
+factor, the count and `eigsh` (ARPACK's real Lanczos) then run in real
+arithmetic, and each kept vector r maps back to Q r.  `EigenResult.real` is
+True when every block did.  A field symmetric under F but not under the
+mirror (a rotated well, 1 + 3x^2 + 2xy + 2y^2) keeps complex blocks, and the
+one-block path stays complex.  A split request holds only the blocks'
+forms: Hs and the complex blocks are freed before the first factor, except
+a block whose gate refuses, which is its own form.
 
 `EigenResult.shift` records the shift-invert shift of the run that was kept
 (of two blocks, the lower), `count_shift` the shift of the count that
@@ -117,10 +118,11 @@ block and the small request the other, `shift` is that request's sigma and
 `count_shift` the lower of `above` and its tau.  `iterations` counts the
 shift-invert solves of every run of every block, a failed shifted run's too.
 
-A solve keeps each block's kept columns and Q, and embeds 16 columns at a
-time for the residuals.  `EigenResult.eigenvectors` is built on first read:
-a Fortran-ordered (dim, m) complex array of M-orthonormal columns, column i
-the eigenvector of eigenvalues[i] as a grid function (`discretize`).
+A solve keeps each block's kept columns and Q, and unfolds 16 columns at a
+time (r, Q r, then P Q r) for the residuals (`pencil_residuals`).
+`EigenResult.eigenvectors` is built on first read: a Fortran-ordered
+(dim, m) complex array of M-orthonormal columns, column i the eigenvector of
+eigenvalues[i] as a grid function (`discretize`).
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretize import AssembledOperator
+from .discretize import AssembledOperator, pencil_residuals
 from .errors import DomainError
 
 __all__ = ["EigenResult", "smallest_eigenpairs", "eigenpairs_near",
@@ -159,9 +161,7 @@ _SPLIT_SMALL_DIM = 4096
 @dataclass
 class EigenResult:
     eigenvalues: np.ndarray
-    # ||H v - lambda M v|| / ||M v||: the M^{-1} norm of the residual only
-    # for a constant M, so not on a curved metric
-    residuals: np.ndarray
+    residuals: np.ndarray  # `pencil_residuals` of each pair
     iterations: int  # shift-invert solves (OPinv applications)
     converged: np.ndarray  # bool per pair
     shift: float  # the shift-invert shift of the run that was kept
@@ -390,36 +390,37 @@ def _symmetric(E, tol: float) -> bool:
     return np.sqrt(spla.norm(E, 1) * spla.norm(E, np.inf)) <= tol / 2
 
 
+def _parity_basis(dim: int, odd: bool):
+    """P, the sparse (dim, dim_b) basis of the even or `odd` parity block:
+    column i < h = dim // 2 is (e_i +- e_{dim-1-i}) / sqrt(2), and an odd
+    dim's even block adds the centre e_h, its own mirror, as 0.5 + 0.5."""
+    k = np.arange((dim + 1 - odd) // 2)
+    v = np.where(k == dim - 1 - k, 0.5, np.sqrt(0.5))
+    return sp.csc_matrix((np.concatenate([v, -v if odd else v]),
+                          (np.concatenate([k, dim - 1 - k]), np.tile(k, 2))))
+
+
 def _parity_blocks(Hs, tol: float):
-    """The even and odd blocks of Hs averaged with P Hs P, or None if the
-    gate (`_symmetric`) refuses E = Hs - P Hs P.  In the basis
-    (e_i +- e_{dim-1-i}) / sqrt(2), i < h = dim // 2, they are A + B and A - B
-    for A = Hs[:h, :h] and B = Hs[:h, dim-h:] in reversed column order; an odd
-    dim adds the centre e_h to the even block, coupled by sqrt(2) Hs[:h, h]."""
-    dim, h, PHP = Hs.shape[0], Hs.shape[0] // 2, Hs[::-1, ::-1]
-    if not _symmetric(Hs - PHP, tol):
+    """The even and odd blocks P^T Hs P of Hs, P the `_parity_basis` of
+    each, or None if the gate (`_symmetric`) refuses E = Hs - F Hs F, F the
+    index reversal."""
+    if not _symmetric(Hs - Hs[::-1, ::-1], tol):
         return None
-    Hs = 0.5 * (Hs + PHP)
-    A, B, c = Hs[:h, :h], Hs[:h, dim - h:][:, ::-1], np.sqrt(2.0)
-    even = A + B
-    if dim % 2:
-        even = sp.bmat([[even, c * Hs[:h, h:h + 1]],
-                        [c * Hs[h:h + 1, :h], Hs[h:h + 1, h:h + 1]]])
-    return even.tocsc(), (A - B).tocsc()
+    bases = [_parity_basis(Hs.shape[0], odd) for odd in (False, True)]
+    return tuple((P.T @ Hs @ P).tocsc() for P in bases)
 
 
 def _real_form(B, tol: float, grid, odd: bool):
-    """(R, Q): R = Re(Q^H B Q), the real symmetric form of the even or `odd`
-    parity block B in the basis Q of J-fixed vectors (module docstring), or
-    (B, None) if the gate (`_symmetric`) refuses E = B - conj(S B S).
+    """(R, Q): R = Re(Q^H B Q), B averaged with conj(S B S) in the basis Q of
+    J-fixed vectors (module docstring), the real symmetric form of the even or
+    `odd` parity block B, or (B, None) if the gate refuses E = B - conj(S B S).
     A pair k < S k (sign +1) has columns k and S k, a fixed k column k."""
     ny, k = grid.ny, np.arange(B.shape[0])
     i, j = np.divmod(k, ny)
     Sk = np.where(i < grid.nx // 2, i * ny + ny - 1 - j, k)
     s = np.where((i == grid.nx // 2) & odd, -1.0, 1.0)
     S = sp.csc_matrix((s, (Sk, k)))
-    SBS = (S @ B @ S).conj()
-    if not _symmetric(B - SBS, tol):
+    if not _symmetric(B - (S @ B @ S).conj(), tol):
         return B, None
     lo, f, c = k[k < Sk], k[k == Sk], np.sqrt(0.5)
     hi = Sk[lo]
@@ -428,7 +429,7 @@ def _real_form(B, tol: float, grid, odd: bool):
                                        np.where(s[f] > 0, 1, 1j)]),
                        (np.concatenate([lo, hi, lo, hi, f]),
                         np.concatenate([lo, lo, hi, hi, f]))))
-    return (Q.conj().T @ (0.5 * (B + SBS)) @ Q).real.tocsc(), Q
+    return (Q.conj().T @ B @ Q).real.tocsc(), Q
 
 
 def _union_pairs(forms, runs, m: int, tol: float, seed: int, key):
@@ -478,7 +479,7 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     `runs` are (shift, count) requests for `_run`; the last one is
     uncertified, so it answers if no earlier one does.  `_union_pairs`
     answers from Hs or, by the split rule (module docstring), its blocks.
-    Each pair is certified by its residual ||H v - lambda M v|| / ||M v|| <= tol.
+    Each pair is certified by its residual (`pencil_residuals`) <= tol.
     """
     if not tol >= 1e-13:  # also NaN, which would never converge
         raise DomainError(f"tol must be >= 1e-13 in double precision, got {tol}")
@@ -489,8 +490,7 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     Hs = (sp.diags(d) @ op.H @ sp.diags(d)).tocsc()
     split = m >= 25 or (m >= _SPLIT_SMALL_M and n >= _SPLIT_SMALL_DIM)
     blocks = _parity_blocks(Hs, tol) if split else None
-    split = blocks is not None
-    forms = [] if split else [(Hs, None)]
+    forms = [(Hs, None)] if blocks is None else []
     del Hs  # a split solve holds only the blocks' forms (module docstring)
     forms += [_real_form(B, tol, op.grid, odd == 1)
               for odd, B in enumerate(blocks or ())]
@@ -498,40 +498,32 @@ def _shift_invert_pairs(op: AssembledOperator, runs, m: int, tol: float,
     vals, order, kept, solves, sigma, count_shift, real = _union_pairs(
         forms, runs, m, tol, seed, key)
     del forms  # each block's R; its columns map back through Q alone
-    half, ne, s = n // 2, kept[0][0].shape[1], np.sqrt(0.5)
 
     def columns(cols):
-        """Answers `cols` as grid functions v = M^{-1/2} v_sym: one block's
-        columns as they are, two blocks' embedded as even or odd ones."""
-        if len(kept) == 1:
-            v = kept[0][0][:, order[cols]]
-        else:
-            v = np.zeros((n, cols.size), dtype=complex, order="F")
-            for b, (vb, Q) in enumerate(kept):
-                part = np.flatnonzero((order[cols] < ne) == (b == 0))
-                src = vb[:, order[cols[part]] - b * ne]
-                if Q is not None:
-                    src = Q @ src
-                v[:half, part] = s * src[:half]
-                v[n - half:, part] = (1 - 2 * b) * s * src[half - 1::-1]
-                if n % 2 and b == 0:
-                    v[half, part] = src[half]
+        """Answers `cols` as grid functions v = M^{-1/2} u: u = r of one
+        block, Q r of a real form, and P u of each of two parity blocks."""
+        v = np.empty((n, cols.size), dtype=complex, order="F")
+        which = order[cols]  # answer columns counted from block b's first
+        for b, (vb, Q) in enumerate(kept):
+            part = np.flatnonzero((which >= 0) & (which < vb.shape[1]))
+            u = vb[:, which[part]]
+            if Q is not None:
+                u = Q @ u
+            v[:, part] = u if len(kept) == 1 else _parity_basis(n, b) @ u
+            which = which - vb.shape[1]
         v *= d[:, None]
         return v
 
     res = np.empty(m)  # 16 columns at a time bound the temporaries
     for cols in np.array_split(np.arange(m), -(-m // 16)):
-        v = columns(cols)
-        Mv = op.M[:, None] * v
-        res[cols] = np.linalg.norm(op.H @ v - vals[None, cols] * Mv, axis=0)
-        res[cols] /= np.linalg.norm(Mv, axis=0)
+        res[cols] = pencil_residuals(op, columns(cols), vals[cols])
     return EigenResult(eigenvalues=vals,
                        residuals=res,
                        iterations=solves,
                        converged=res <= tol,
                        shift=float(sigma),
                        count_shift=count_shift,
-                       blocks=2 if split else 1,
+                       blocks=len(kept),
                        real=real,
                        _columns=columns)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import AssembledOperator, Grid
+from .discretize import AssembledOperator, Grid, pencil_residuals
 from .errors import DomainError
 from .hermite import (OscillatorBasis, momentum_matrix, oscillator_eigenfunction,
                       position_matrix)
@@ -150,15 +150,13 @@ def build_leading_quasimode(spec: QuasimodeSpec, grid: Grid, gauge=None,
 
 def residual(op: AssembledOperator, phi, mu: float) -> float:
     """Discrete weighted residual ||H phi - mu M phi||_{M^{-1}} / ||phi||_M
-    of a flat grid function `phi`."""
+    of a flat grid function `phi` (`pencil_residuals`)."""
     v = np.asarray(phi)
     if v.shape != op.M.shape:
         raise DomainError("dimension mismatch")
-    nrm = math.sqrt(float(np.sum(np.abs(v) ** 2 * op.M)))
-    if nrm == 0:
+    if not np.any(v):
         raise DomainError("zero grid function")
-    r = op.H @ v - mu * (op.M * v)
-    return math.sqrt(float(np.sum(np.abs(r) ** 2 / op.M))) / nrm
+    return float(pencil_residuals(op, v[:, None], mu)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ from magspec.discretize import Grid, assemble
 from magspec.eigensolve import (eigenpairs_near, nearest_eigenvalue,
                                 smallest_eigenpairs)
 from magspec.errors import DomainError
-from magspec.experiments import TiledField, curved_well, standard_well
+from magspec.experiments import (TiledField, curved_well, richardson,
+                                 standard_well)
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
                                gauge_from_field, well_data)
+from magspec.quasimode import residual
 from magspec.wellmodel import mu_jk2
 
 SQUARE2 = Rectangle(-2.0, 2.0, -2.0, 2.0)
@@ -33,6 +35,14 @@ def std_operator(n, h=0.1, domain=SQUARE2):
 def symmetrized(op):
     d = 1.0 / np.sqrt(op.M)
     return (sp.diags(d) @ op.H @ sp.diags(d)).tocsc()
+
+
+def pencil_residual_norms(op, V, vals):
+    """||M^{-1/2} (H v - lambda M v)|| / ||M^{1/2} v|| of each column v of V
+    and its value lambda in `vals`."""
+    w = np.sqrt(op.M)[:, None]
+    return (np.linalg.norm((op.H @ V - vals * (op.M[:, None] * V)) / w, axis=0)
+            / np.linalg.norm(w * V, axis=0))
 
 
 def dense_reference(op, m):
@@ -500,6 +510,20 @@ class TestParitySplit:
             scipy.linalg.block_diag(even.toarray(), odd.toarray()),
             rtol=0, atol=1e-14 * abs(Hs).max())
 
+    @pytest.mark.parametrize("dim", [64, 72, 81, 99])
+    def test_parity_basis(self, dim):
+        # orthonormal columns; the two blocks' bases together span every
+        # vector; the index reversal fixes the even basis and negates the odd
+        Pe, Po = (es._parity_basis(dim, odd).toarray() for odd in (False, True))
+        assert Pe.shape == (dim, dim - dim // 2) and Po.shape == (dim, dim // 2)
+        for P in (Pe, Po):
+            np.testing.assert_allclose(P.T @ P, np.eye(P.shape[1]),
+                                       rtol=0, atol=1e-15)
+        np.testing.assert_allclose(Pe @ Pe.T + Po @ Po.T, np.eye(dim),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(Pe[::-1], Pe)
+        np.testing.assert_array_equal(Po[::-1], -Po)
+
     def test_operator_without_symmetry_runs_one_block(self):
         # b + 0.3 x^3 is not symmetric under P: one block, with today's
         # arithmetic (residuals of all columns at once) bit for bit
@@ -514,9 +538,7 @@ class TestParitySplit:
                                                     count="sigma")
         order = np.argsort(vals)[:30]
         vecs = vecs[:, order] * (1.0 / np.sqrt(op.M))[:, None]
-        Mv = op.M[:, None] * vecs
-        r = np.linalg.norm(op.H @ vecs - vals[order][None, :] * Mv, axis=0)
-        r /= np.linalg.norm(Mv, axis=0)
+        r = pencil_residual_norms(op, vecs, vals[order])
         assert res.blocks == 1 and res.iterations == solves
         assert res.shift == res.count_shift == count == sigma
         np.testing.assert_array_equal(res.eigenvalues, vals[order])
@@ -788,9 +810,7 @@ class TestSplitSmallRequest:
         vals, vecs, solves, shift, count, _ = es._run(Hs, runs, m, 1e-10, 0)
         order = np.argsort(key(vals))[:m]
         vecs = vecs[:, order] * (1.0 / np.sqrt(op.M))[:, None]
-        Mv = op.M[:, None] * vecs
-        r = np.linalg.norm(op.H @ vecs - vals[order][None, :] * Mv, axis=0)
-        r /= np.linalg.norm(Mv, axis=0)
+        r = pencil_residual_norms(op, vecs, vals[order])
         assert res.blocks == 1 and not res.real and res.iterations == solves
         assert res.shift == shift and res.count_shift == count
         np.testing.assert_array_equal(res.eigenvalues, vals[order])
@@ -1245,10 +1265,62 @@ class TestVectorsOnDemand:
         assert res.eigenvectors is V
         assert V.shape == (op.dim, m) and V.dtype == complex
         assert V.flags.f_contiguous
-        Mv = op.M[:, None] * V
-        r = (np.linalg.norm(op.H @ V - res.eigenvalues * Mv, axis=0)
-             / np.linalg.norm(Mv, axis=0))
+        r = pencil_residual_norms(op, V, res.eigenvalues)
         np.testing.assert_allclose(r, res.residuals, rtol=1e-12, atol=0)
+
+
+class TestResiduals:
+    def test_residuals_are_the_quasimode_residual(self):
+        # phi = -(x^2 + y^2)/2 makes M far from constant: there the M^{-1}
+        # norm of the residual is 1.09 to 1.48 times ||H v - lambda M v|| /
+        # ||M v||
+        s = FieldSetup("1 + x^2 + y^2", "-(x^2 + y^2)/2", SQUARE2)
+        op = assemble(s, gauge_from_field(s, x_anchor=0.0),
+                      Grid(SQUARE2, 96, 96), 0.1)
+        res = smallest_eigenpairs(op, 6, tol=1e-10)
+        r = [residual(op, res.eigenvectors[:, j], res.eigenvalues[j])
+             for j in range(6)]
+        np.testing.assert_allclose(res.residuals, r, rtol=1e-12, atol=0)
+
+
+class TestConformalIsometry:
+    """z -> e^z maps the metric e^{2x} (dx^2 + dy^2) isometrically onto the
+    flat plane, so the field b(e^z) on it has the flat well b's spectrum, up
+    to the exponentially small effect of the two domains' boundaries: an
+    exact oracle for the curved path (the conformal factor, the quadrature
+    gauge and the mass)."""
+
+    H = 0.05
+    FLAT = FieldSetup("1 + (x - 2)^2 + y^2", None,
+                      Rectangle(0.0, 4.0, -2.0, 2.0))
+    CURVED = FieldSetup("1 + (exp(x)*cos(y) - 2)^2 + (exp(x)*sin(y))^2", "x",
+                        Rectangle(np.log(2) - 0.9, np.log(2) + 0.9, -0.8, 0.8))
+
+    def test_well_data(self):
+        for setup in (self.FLAT, self.CURVED):
+            well = well_data(setup)
+            np.testing.assert_allclose([well.b0, well.alpha1, well.beta1], 1.0,
+                                       rtol=0, atol=1e-12)
+            assert well.R0 == 0
+        assert well.phi0 == pytest.approx(np.log(2), abs=1e-12)
+
+    def test_richardson_limits_agree(self):
+        # Richardson pairs of spacing 0.0142 and 0.0284 at the well: the
+        # curved grid's 0.0071 and 0.0142 times |f'| = e^x = 2 there (its
+        # domain is 1.8 x 1.6); the limits differ by 2e-6 to 2e-5 h^2
+        limits = []
+        for setup, (nx, ny) in ((self.FLAT, (280, 280)),
+                                (self.CURVED, (252, 224))):
+            gauge = gauge_from_field(setup, x_anchor=well_data(setup).x0[0])
+            pair = []
+            for grid in (Grid(setup.domain, nx, ny),
+                         Grid(setup.domain, nx // 2, ny // 2)):
+                res = smallest_eigenpairs(assemble(setup, gauge, grid, self.H),
+                                          3, tol=1e-10)
+                assert np.all(res.converged)
+                pair += [res.eigenvalues, grid.dx]
+            limits.append(richardson(*pair))
+        assert np.all(np.abs(limits[1] - limits[0]) <= 1e-4 * self.H ** 2)
 
 
 class TestNearestEigenvalue:
