@@ -16,17 +16,15 @@ from .wellmodel import (FlatModelParams, WellData, WellInvariants,
                         p_flat_spectrum)
 from .hermite import (MomentTable, OscillatorBasis, hermite_norm_sq,
                       hermite_poly, moment_table, momentum_matrix,
-                      nu_jk_check, oscillator_eigenfunction,
-                      oscillator_eigenvalue, position_matrix)
+                      oscillator_eigenfunction, position_matrix)
 from .fieldgeom import (FieldSetup, GaugePotential, Rectangle,
                         TransformedGauge, gauge_from_field, locate_minimum,
                         polynomial_B, scalar_curvature, well_data)
 from .discretize import (AssembledOperator, Grid, assemble,
                          dump_matrix_market, field_mass, magnetic_form)
-from .eigensolve import (EigenResult, eigenpairs_near, nearest_eigenvalue,
-                         smallest_eigenpairs)
-from .quasimode import (QuasimodeSpec, T2Matrix, assemble_T2,
-                        build_leading_quasimode, clipped_cutoff, residual)
+from .eigensolve import EigenResult, eigenpairs_near, smallest_eigenpairs
+from .quasimode import (T2Matrix, assemble_T2, build_leading_quasimode,
+                        clipped_cutoff, residual)
 from .experiments import (FitResult, GapReport, MontgomeryReport, SweepConfig,
                           SweepRecord, TiledField, curved_well, detect_gaps,
                           fit_expansion, grid_size, montgomery_check,

@@ -24,8 +24,7 @@ from .experiments import (SweepConfig, check_keys, field_setup, fit_expansion,
                           run_sweep, section, write_table)
 from .fieldgeom import gauge_from_field, well_data
 from .hermite import hermite_norm_sq, hermite_poly, moment_table
-from .quasimode import (QuasimodeSpec, assemble_T2, build_leading_quasimode,
-                        clipped_cutoff, residual)
+from .quasimode import assemble_T2, build_leading_quasimode, residual
 from .wellmodel import (FlatModelParams, flat_model_spectrum, mu_jk2,
                         p_flat_spectrum, two_term_law)
 
@@ -115,9 +114,7 @@ def _cmd_sweep(args, doc):
 def _cmd_quasimode(args, doc):
     h, j, k, n = section(doc, "quasimode").values()
     well, gauge, grid, op = _operator(args, doc, h, n)
-    spec = QuasimodeSpec(well, j, k, h,
-                         cutoff_radius=clipped_cutoff(well, h, grid.domain))
-    phi = build_leading_quasimode(spec, grid, gauge, op_mass=op.M)
+    phi = build_leading_quasimode(well, h, grid, gauge, op_mass=op.M, j=j, k=k)
     r = residual(op, phi, (2 * k + 1) * h * well.b0)
     print(f"residual at mu=(2k+1)*h*b0: {r:.6e}", file=sys.stderr)
     X, Y = grid.meshgrid()

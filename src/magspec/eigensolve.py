@@ -137,8 +137,7 @@ import scipy.sparse.linalg as spla
 from .discretize import AssembledOperator, pencil_residuals
 from .errors import DomainError
 
-__all__ = ["EigenResult", "smallest_eigenpairs", "eigenpairs_near",
-           "nearest_eigenvalue"]
+__all__ = ["EigenResult", "smallest_eigenpairs", "eigenpairs_near"]
 
 _CLUSTER_MARGIN = 5
 # the full request's smallest Krylov basis
@@ -563,17 +562,3 @@ def eigenpairs_near(op: AssembledOperator, target: float, m: int,
     return _shift_invert_pairs(op, [(target, None)], m, tol, seed,
                                key=lambda v: np.abs(v - target))
 
-
-def nearest_eigenvalue(result: EigenResult, target: float):
-    """(eigenvalue, distance) of the converged eigenvalue closest to target.
-
-    Ties go to the smaller eigenvalue.
-    """
-    if len(result) == 0:
-        raise DomainError("empty eigenresult")
-    vals = result.eigenvalues[result.converged]
-    if vals.size == 0:
-        raise DomainError("no converged eigenvalues")
-    dist = np.abs(vals - target)
-    best = np.flatnonzero(dist == dist.min())[0]
-    return float(vals[best]), float(dist[best])

@@ -22,8 +22,7 @@ from .eigensolve import smallest_eigenpairs
 from .errors import ConfigError, DomainError, MagspecError
 from .fieldgeom import (FieldSetup, GaugePotential, Rectangle, gauge_from_field,
                         polynomial_B, well_data)
-from .quasimode import (QuasimodeSpec, build_leading_quasimode, clipped_cutoff,
-                        residual)
+from .quasimode import build_leading_quasimode, residual
 from .wellmodel import WellData, mu_jk2, two_term_law
 
 __all__ = [
@@ -335,10 +334,7 @@ def run_sweep(config: SweepConfig) -> list:
                 lam = richardson(lam, grid.dx, lam_half, half.dx)
             qres = math.nan
             if config.quasimode:
-                phi = build_leading_quasimode(
-                    QuasimodeSpec(well, 0, 0, h,
-                                  cutoff_radius=clipped_cutoff(well, h, setup.domain)),
-                    grid, gauge, op_mass=op.M)
+                phi = build_leading_quasimode(well, h, grid, gauge, op_mass=op.M)
                 qres = residual(op, phi, h * well.b0)
             for j in range(config.m):
                 records.append(SweepRecord(

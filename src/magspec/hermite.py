@@ -14,17 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .wellmodel import WellData
 
 __all__ = [
     "hermite_poly",
     "hermite_norm_sq",
     "OscillatorBasis",
-    "oscillator_eigenvalue",
     "oscillator_eigenfunction",
     "MomentTable",
     "moment_table",
-    "nu_jk_check",
     "position_matrix",
     "momentum_matrix",
 ]
@@ -70,12 +67,6 @@ class OscillatorBasis:
         return math.sqrt(self.gamma / self.beta)
 
 
-def oscillator_eigenvalue(basis: OscillatorBasis, j: int) -> float:
-    if j < 0:
-        raise DomainError("j must be non-negative")
-    return (2 * j + 1) * math.sqrt(basis.beta * basis.gamma)
-
-
 def oscillator_eigenfunction(basis: OscillatorBasis, j: int, xi):
     """L2-normalized j-th eigenfunction of beta*D^2 + gamma*xi^2 at xi."""
     if j < 0:
@@ -116,19 +107,6 @@ def moment_table(k: int, b0: float) -> MomentTable:
         x2D2=(2 * k * k + 2 * k - 1) / 4,
         D4=3 * (2 * k * k + 2 * k + 1) * b0 * b0 / 4,
     )
-
-
-def nu_jk_check(well: WellData, j: int, k: int) -> float:
-    """nu_{jk} assembled from the oscillator pieces (independent of mu_jk2).
-
-    First term via the eigenvalue of the level-k effective oscillator,
-    remaining terms from its constant part.
-    """
-    basis = OscillatorBasis(beta=(2 * k + 1) * well.beta1,
-                            gamma=(2 * k + 1) * well.alpha1 / well.b0 ** 2)
-    const = ((2 * k * k + 2 * k + 1) * (well.alpha1 + well.beta1) / (2 * well.b0)
-             + 0.5 * (k * k + k) * well.R0)
-    return oscillator_eigenvalue(basis, j) + const
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ effective harmonic oscillators of each Landau level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .hermite import (OscillatorBasis, momentum_matrix, oscillator_eigenfunction
 from .wellmodel import WellData
 
 __all__ = [
-    "QuasimodeSpec",
     "build_leading_quasimode",
     "clipped_cutoff",
     "residual",
@@ -37,37 +36,17 @@ __all__ = [
 ]
 
 
-def _default_cutoff(well: WellData, h: float) -> float:
-    aniso = max(1.0, (well.b0 ** 2 / min(well.alpha1, well.beta1)) ** 0.25)
-    return 6.0 * math.sqrt(h / well.b0) * aniso
-
-
 def clipped_cutoff(well: WellData, h: float, domain) -> float:
-    """Default cutoff radius, clipped so the cutoff ball stays in `domain`."""
+    """The quasimode's cutoff radius r0: 6 sqrt(h/b0), widened by the well's
+    anisotropy (b0^2 / min(alpha1, beta1))^{1/4} when that exceeds 1, and
+    clipped so the cutoff ball of radius 1.25 r0 stays in `domain`."""
     x0, y0 = well.x0
     dist = min(x0 - domain.x_min, domain.x_max - x0,
                y0 - domain.y_min, domain.y_max - y0)
     if dist <= 0:
         raise DomainError("well sits on the domain boundary")
-    return min(_default_cutoff(well, h), dist / 1.25 * 0.995)
-
-
-@dataclass(frozen=True)
-class QuasimodeSpec:
-    well: WellData
-    j: int
-    k: int
-    h: float
-    cutoff_radius: float = None
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise DomainError("h must be positive")
-        if self.j < 0 or self.k < 0:
-            raise DomainError("level indices must be non-negative")
-        if self.cutoff_radius is None:
-            object.__setattr__(self, "cutoff_radius",
-                               _default_cutoff(self.well, self.h))
+    aniso = max(1.0, (well.b0 ** 2 / min(well.alpha1, well.beta1)) ** 0.25)
+    return min(6.0 * math.sqrt(h / well.b0) * aniso, dist / 1.25 * 0.995)
 
 
 def _bump(r, r0):
@@ -76,11 +55,14 @@ def _bump(r, r0):
     return 1.0 - s ** 3 * (10.0 - 15.0 * s + 6.0 * s ** 2)
 
 
-def build_leading_quasimode(spec: QuasimodeSpec, grid: Grid, gauge=None,
-                            op_mass=None) -> np.ndarray:
+def build_leading_quasimode(well: WellData, h: float, grid: Grid, gauge=None,
+                            op_mass=None, j: int = 0, k: int = 0) -> np.ndarray:
     """Sample the physical-space leading quasimode phi_{jk0} on the grid.
 
-    Returns the M-normalized values as a flat complex array, x-major.
+    Returns the M-normalized values as a flat complex array, x-major.  j is
+    the oscillator level within Landau level k; the cutoff radius is
+    `clipped_cutoff(well, h, grid.domain)`, so the cutoff ball lies inside
+    the grid's domain.
 
     When the global A1 = 0 gauge is anchored at the well's x-coordinate it
     coincides with the well-frame gauge of the scaled construction, so the
@@ -88,17 +70,16 @@ def build_leading_quasimode(spec: QuasimodeSpec, grid: Grid, gauge=None,
     anchoring.  `op_mass` is the diagonal mass used for normalization
     (defaults to the flat dx*dy weight).
     """
-    well = spec.well
-    h = spec.h
+    if not h > 0:
+        raise DomainError("h must be positive")
+    if j < 0 or k < 0:
+        raise DomainError("level indices must be non-negative")
     x0, y0 = well.x0
     if gauge is not None and abs(gauge.x_anchor - x0) > 1e-10:
         raise DomainError(
             f"gauge anchored at x = {gauge.x_anchor}, but the well sits at x = {x0}; "
             "re-anchor the gauge at the well")
-    r0 = spec.cutoff_radius
-    if not grid.domain.contains((x0 - 1.25 * r0, y0 - 1.25 * r0)) or \
-       not grid.domain.contains((x0 + 1.25 * r0, y0 + 1.25 * r0)):
-        raise DomainError("cutoff ball extends outside the grid domain")
+    r0 = clipped_cutoff(well, h, grid.domain)
 
     sq = math.sqrt(h)
     x1 = (grid.xs - x0) / sq
@@ -110,26 +91,26 @@ def build_leading_quasimode(spec: QuasimodeSpec, grid: Grid, gauge=None,
     b0, alpha1, beta1 = g * well.b0, g * g * well.alpha1, g * g * well.beta1
     # transverse oscillator (frequency B0) and effective xi-oscillator
     x2_basis = OscillatorBasis(beta=1.0, gamma=b0 ** 2)
-    xi_basis = OscillatorBasis(beta=(2 * spec.k + 1) * beta1,
-                               gamma=(2 * spec.k + 1) * alpha1 / b0 ** 2)
+    xi_basis = OscillatorBasis(beta=(2 * k + 1) * beta1,
+                               gamma=(2 * k + 1) * alpha1 / b0 ** 2)
     om_xi = xi_basis.frequency
 
     # xi grid: cover the Gaussian tail and resolve e^{i y1 xi} up to the cutoff
-    xi_max = (math.sqrt(2 * spec.j + 1) + 8.0) / math.sqrt(om_xi)
+    xi_max = (math.sqrt(2 * j + 1) + 8.0) / math.sqrt(om_xi)
     y1_max = 1.25 * r0 / sq
     # four xi points per half-period of e^{i y1 xi} at the cutoff edge
     dxi = math.pi / (4.0 * max(y1_max, 1.0))
     n_xi = int(2 * xi_max / dxi) + 1
     if n_xi > 500_000:
         raise DomainError(
-            f"xi grid of {n_xi} points needed (cutoff {r0}, h {h}); enlarge h or shrink cutoff")
+            f"xi grid of {n_xi} points needed (cutoff {r0}, h {h}); the well is too anisotropic")
     xi = np.linspace(-xi_max, xi_max, n_xi)
     dxi = xi[1] - xi[0]
 
     # u0 on (xi_m, x1_i): psi_k(x1 - xi/b0) * Psi_jk(xi)
     x2 = x1[None, :] - xi[:, None] / b0
-    U = (oscillator_eigenfunction(x2_basis, spec.k, x2)
-         * oscillator_eigenfunction(xi_basis, spec.j, xi)[:, None])
+    U = (oscillator_eigenfunction(x2_basis, k, x2)
+         * oscillator_eigenfunction(xi_basis, j, xi)[:, None])
 
     # inverse Fourier transform xi -> y1 as a direct oscillatory quadrature;
     # the e^{-i y1 xi} chirality matches the orientation of the Peierls phases
@@ -174,18 +155,10 @@ class T2Matrix:
     m_cut: int
     n_cut: int
     b0: float
-    alpha: float
-    beta: float
+    alpha1: float  # alpha + b0 R0 / 12
+    beta1: float  # beta + b0 R0 / 12
     R0: float
     xi_frequency: float
-
-    @property
-    def alpha1(self):
-        return self.alpha + self.b0 * self.R0 / 12.0
-
-    @property
-    def beta1(self):
-        return self.beta + self.b0 * self.R0 / 12.0
 
     def fiber_block(self, k: int) -> np.ndarray:
         """Restriction <psi_k (x) . , T2 (psi_k (x) .)> to the xi factor."""
@@ -275,4 +248,4 @@ def assemble_T2(b0: float, alpha: float, beta: float, R0: float,
     idx = (np.arange(m_cut)[:, None] * Ni + np.arange(n_cut)[None, :]).reshape(-1)
     T2 = T2[np.ix_(idx, idx)]
     return T2Matrix(matrix=T2, m_cut=m_cut, n_cut=n_cut, b0=b0,
-                    alpha=alpha, beta=beta, R0=R0, xi_frequency=om_xi)
+                    alpha1=alpha1, beta1=beta1, R0=R0, xi_frequency=om_xi)

@@ -16,17 +16,14 @@ import numpy as np
 import pytest
 
 from magspec.discretize import Grid, assemble
-from magspec.eigensolve import (eigenpairs_near, nearest_eigenvalue,
-                                smallest_eigenpairs)
+from magspec.eigensolve import eigenpairs_near, smallest_eigenpairs
 from magspec.experiments import (SweepConfig, fit_expansion, grid_size,
                                  montgomery_check, richardson,
                                  run_gap_experiment, run_sweep, standard_well)
 from magspec.fieldgeom import (FieldSetup, Rectangle, TransformedGauge,
                                gauge_from_field, well_data)
-from magspec.hermite import (hermite_norm_sq, hermite_poly, moment_table,
-                             nu_jk_check)
-from magspec.quasimode import (QuasimodeSpec, assemble_T2,
-                               build_leading_quasimode, clipped_cutoff)
+from magspec.hermite import hermite_norm_sq, hermite_poly, moment_table
+from magspec.quasimode import assemble_T2, build_leading_quasimode
 from magspec.wellmodel import WellData, mu_jk2
 
 
@@ -104,10 +101,12 @@ def test_acceptance_01_flat_model_oracle(capfd):
 
 def test_acceptance_02_landau_levels(capfd, landau_solve):
     setup, gauge, grid, op, low = landau_solve
-    lam0, dist0 = nearest_eigenvalue(low, 0.1)
     exc = eigenpairs_near(op, 0.3, 6, tol=1e-8)
-    lam1, dist1 = nearest_eigenvalue(exc, 0.3)
-    ok = dist0 <= 2e-3 and dist1 <= 5e-3
+    # eigenpairs_near sorts by distance to its target: the first is the nearest
+    lam0, lam1 = float(low.eigenvalues[0]), float(exc.eigenvalues[0])
+    dist0, dist1 = abs(lam0 - 0.1), abs(lam1 - 0.3)
+    ok = (dist0 <= 2e-3 and dist1 <= 5e-3 and bool(low.converged.all())
+          and bool(exc.converged.all()))
     _report(capfd, 2, ok,
             f"lowest cluster {lam0:.6f} (|d|={dist0:.1e}, tol 2e-3), "
             f"first excited {lam1:.6f} (|d|={dist1:.1e}, tol 5e-3)")
@@ -139,10 +138,7 @@ def test_acceptance_04_quasimode_residual(capfd, std_ctx, sweep_result,
     slope = float(np.polyfit(np.log([p[0] for p in pts]),
                              np.log([p[1] for p in pts]), 1)[0])
     grid, op, res = std_solve_005
-    phi = build_leading_quasimode(
-        QuasimodeSpec(well, 0, 0, 0.05,
-                      cutoff_radius=clipped_cutoff(well, 0.05, setup.domain)),
-        grid, gauge, op_mass=op.M)
+    phi = build_leading_quasimode(well, 0.05, grid, gauge, op_mass=op.M)
     align = abs(np.vdot(phi, op.M * res.eigenvectors[:, 0]))
     ok = slope >= 1.9 and align >= 0.95
     _report(capfd, 4, ok,
@@ -161,7 +157,7 @@ def test_acceptance_05_perturbation_operator(capfd):
             d = np.abs(t2.fiber_block(k) - t2.oscillator_matrix(k)).max()
             worst_fiber = max(worst_fiber, float(d))
             for j in range(3):
-                d = abs(t2.projected_eigenvalue(j, k) - nu_jk_check(well, j, k))
+                d = abs(t2.projected_eigenvalue(j, k) - mu_jk2(well, j, k))
                 worst_proj = max(worst_proj, d)
     ok = worst_fiber <= 1e-8 and worst_proj <= 1e-8
     _report(capfd, 5, ok,
@@ -190,14 +186,13 @@ def test_acceptance_06_excited_ladder_proximity(capfd, std_ctx):
     ok = True
     for h, (nc, nf) in pairs.items():
         target = 3 * h * well.b0 + h * h * mu_jk2(well, 0, 1)
-        spec = QuasimodeSpec(well, 0, 1, h,
-                             cutoff_radius=clipped_cutoff(well, h, setup.domain))
         branch = {}
         for n in (nc, nf):
             grid = Grid(setup.domain, n, n)
             op = assemble(setup, gauge, grid, h)
             res = eigenpairs_near(op, target, 12, tol=1e-8)
-            phi = build_leading_quasimode(spec, grid, gauge, op_mass=op.M)
+            phi = build_leading_quasimode(well, h, grid, gauge, op_mass=op.M,
+                                          k=1)
             align = np.array([abs(np.vdot(phi, op.M * v))
                               for v in res.eigenvectors.T])
             best = int(np.argmax(align))

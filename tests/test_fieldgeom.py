@@ -191,6 +191,18 @@ class TestGaugeFromField:
                                                ys[j], ys[j + 1], epsabs=1e-13, epsrel=1e-13)
                 assert abs(out[i, j] - q) <= 1e-12
 
+    def test_wide_edges_split_into_segments(self):
+        # cells up to 3 units wide: one 8-point segment per cell errs by
+        # 2.0e-9 here, segments of at most half a unit by 3.6e-15
+        s = FieldSetup("2 + sin(3*x)*cos(3*y)", None, Rectangle(-3.0, 3.0, -3.0, 3.0))
+        g = gauge_from_field(s, x_anchor=0.0)
+        xs = np.array([-2.5, -0.3, 1.5, 2.5])
+        ys = np.array([-2.5, -1.0, 2.0])
+        x, y0, y1 = xs[:, None], ys[None, :-1], ys[None, 1:]
+        exact = (2 * x * (y1 - y0)
+                 + (1 - np.cos(3 * x)) * (np.sin(3 * y1) - np.sin(3 * y0)) / 9)
+        np.testing.assert_allclose(g.y_edge_integrals(xs, ys), exact, rtol=0, atol=1e-12)
+
     def test_quadrature_edges_evaluate_few_points(self):
         # per-edge nested quadrature costs ~1,000 evaluations of B per edge
         s = curved_well()

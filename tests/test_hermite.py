@@ -4,13 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from magspec.errors import DomainError
 from magspec.hermite import (MomentTable, OscillatorBasis, hermite_norm_sq,
                              hermite_poly, moment_table, momentum_matrix,
-                             nu_jk_check, oscillator_eigenfunction,
-                             oscillator_eigenvalue, position_matrix)
+                             oscillator_eigenfunction, position_matrix)
 from magspec.wellmodel import WellData, mu_jk2
 
 RNG = np.random.default_rng(42)
@@ -85,19 +83,24 @@ def test_norm_identity_against_quadrature():
 class TestOscillator:
     def test_unit_oscillator_ground_state(self):
         basis = OscillatorBasis(1.0, 1.0)
-        assert oscillator_eigenvalue(basis, 0) == pytest.approx(1.0)
         xi = np.linspace(-2, 2, 9)
         np.testing.assert_allclose(oscillator_eigenfunction(basis, 0, xi),
                                    math.pi ** -0.25 * np.exp(-xi ** 2 / 2),
                                    atol=1e-14)
 
     def test_effective_level_basis_eigenvalue(self):
+        # the level-k oscillator in ladder matrices of its own frequency: its
+        # eigenvalue spacing is mu_jk2's step in j on an anisotropic well
         b0, a1, b1 = 1.3, 2.0, 0.7
+        well = WellData(b0, a1, b1)
         for k in range(3):
             basis = OscillatorBasis((2 * k + 1) * b1, (2 * k + 1) * a1 / b0 ** 2)
+            X = position_matrix(basis.frequency, 14)
+            D = momentum_matrix(basis.frequency, 14)
+            lam = np.linalg.eigvalsh((basis.beta * D @ D + basis.gamma * X @ X)[:12, :12])
             for j in range(3):
-                assert oscillator_eigenvalue(basis, j) == pytest.approx(
-                    (2 * j + 1) * (2 * k + 1) * math.sqrt(a1 * b1) / b0, rel=1e-13)
+                assert lam[j] - lam[0] == pytest.approx(
+                    mu_jk2(well, j, k) - mu_jk2(well, 0, k), rel=1e-13)
 
     def test_normalization_by_quadrature(self):
         xs, ws = np.polynomial.hermite.hermgauss(60)
@@ -117,7 +120,7 @@ class TestOscillator:
         step = 1e-4
         xi = np.linspace(-4 / math.sqrt(om), 4 / math.sqrt(om), 201)
         for j in range(4):
-            lam = oscillator_eigenvalue(basis, j)
+            lam = (2 * j + 1) * math.sqrt(beta * gamma)
             f = lambda t: oscillator_eigenfunction(basis, j, t)
             # 5-point second derivative: error O(step^4)
             d2 = (-f(xi + 2 * step) + 16 * f(xi + step) - 30 * f(xi)
@@ -180,21 +183,6 @@ class TestMomentTable:
             moment_table(31, 1.0)
         with pytest.raises(DomainError):
             moment_table(0, 0.0)
-
-
-class TestNuJkCheck:
-    def test_reference_values(self):
-        assert nu_jk_check(WellData(1.0, 1.0, 1.0), 1, 0) == pytest.approx(4.0, abs=1e-13)
-        assert nu_jk_check(WellData(1.0, 4.0, 1.0), 0, 0) == pytest.approx(4.5, abs=1e-13)
-
-    @given(st.floats(0.2, 5.0), st.floats(0.1, 6.0), st.floats(0.1, 6.0),
-           st.floats(-2.0, 2.0), st.integers(0, 4), st.integers(0, 4))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_mu_jk2(self, b0, a1, b1, R0, j, k):
-        w = WellData(b0=b0, alpha1=a1, beta1=b1, R0=R0)
-        lhs = nu_jk_check(w, j, k)
-        rhs = mu_jk2(w, j, k)
-        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
 
 
 class TestLadderMatrices:

@@ -10,10 +10,8 @@ from magspec.eigensolve import smallest_eigenpairs
 from magspec.errors import DomainError
 from magspec.experiments import standard_well
 from magspec.fieldgeom import gauge_from_field, well_data
-from magspec.hermite import nu_jk_check
-from magspec.quasimode import (QuasimodeSpec, T2Matrix, assemble_T2,
-                               build_leading_quasimode, clipped_cutoff,
-                               residual)
+from magspec.quasimode import (assemble_T2, build_leading_quasimode,
+                               clipped_cutoff, residual)
 from magspec.wellmodel import WellData, mu_jk2
 
 
@@ -28,9 +26,7 @@ def std():
 def build(std, j, k, h, n):
     setup, well, gauge = std
     grid = Grid(setup.domain, n, n)
-    spec = QuasimodeSpec(well, j, k, h,
-                         cutoff_radius=clipped_cutoff(well, h, setup.domain))
-    return grid, build_leading_quasimode(spec, grid, gauge)
+    return grid, build_leading_quasimode(well, h, grid, gauge, j=j, k=k)
 
 
 class TestConstruction:
@@ -66,11 +62,9 @@ class TestConstruction:
     def test_non_finite_norm_rejected(self, std):
         setup, well, gauge = std
         grid = Grid(setup.domain, 32, 32)
-        spec = QuasimodeSpec(well, 0, 0, 0.1,
-                             cutoff_radius=clipped_cutoff(well, 0.1, setup.domain))
         for bad in (np.nan, np.inf):
             with pytest.raises(DomainError, match="vanished"):
-                build_leading_quasimode(spec, grid, gauge,
+                build_leading_quasimode(well, 0.1, grid, gauge,
                                         op_mass=np.full(grid.size, bad))
 
     def test_misanchored_gauge_rejected(self, std):
@@ -78,21 +72,17 @@ class TestConstruction:
         bad = gauge_from_field(setup, x_anchor=0.5)
         grid = Grid(setup.domain, 32, 32)
         with pytest.raises(DomainError, match="anchored"):
-            build_leading_quasimode(QuasimodeSpec(well, 0, 0, 0.1), grid, bad)
-
-    def test_cutoff_ball_must_fit(self, std):
-        setup, well, _ = std
-        grid = Grid(setup.domain, 32, 32)
-        spec = QuasimodeSpec(well, 0, 0, 0.1, cutoff_radius=2.0)
-        with pytest.raises(DomainError, match="cutoff ball"):
-            build_leading_quasimode(spec, grid)
+            build_leading_quasimode(well, 0.1, grid, bad)
 
     def test_xi_grid_overload_reports_requirement(self, std):
-        setup, well, _ = std
-        grid = Grid(setup.domain, 16, 16)
-        spec = QuasimodeSpec(well, 0, 0, 1e-9, cutoff_radius=1.0)
-        with pytest.raises(DomainError, match="xi grid"):
-            build_leading_quasimode(spec, grid)
+        # the clipped cutoff keeps y1 at its edge near 7.5 aniso / sqrt(b0)
+        # for every h, so only a strongly anisotropic well needs more than
+        # 500,000 xi points: 1,442,234 at alpha1 = 1e-16, 144,224 at 1e-12
+        grid = Grid(std[0].domain, 16, 16)
+        with pytest.raises(DomainError, match="xi grid of 1442234 points"):
+            build_leading_quasimode(WellData(1.0, 1e-16, 1.0), 0.1, grid)
+        phi = build_leading_quasimode(WellData(1.0, 1e-12, 1.0), 0.1, grid)
+        assert np.all(np.isfinite(phi))
 
     def test_clipped_cutoff(self, std):
         setup, well, _ = std
@@ -108,7 +98,13 @@ class TestConstruction:
     @pytest.mark.parametrize("h", [0.0, -0.1, float("nan")])
     def test_h_must_be_positive(self, std, h):
         with pytest.raises(DomainError, match="h must be positive"):
-            QuasimodeSpec(std[1], 0, 0, h, cutoff_radius=1.0)
+            build_leading_quasimode(std[1], h, Grid(std[0].domain, 16, 16))
+
+    @pytest.mark.parametrize("j, k", [(-1, 0), (0, -1)])
+    def test_level_indices_must_be_non_negative(self, std, j, k):
+        with pytest.raises(DomainError, match="level indices must be non-negative"):
+            build_leading_quasimode(std[1], 0.1, Grid(std[0].domain, 16, 16),
+                                    j=j, k=k)
 
 
 class TestResidual:
@@ -175,7 +171,7 @@ class TestT2:
         for j in range(3):
             for k in range(3):
                 val = t2.projected_eigenvalue(j, k)
-                assert val == pytest.approx(nu_jk_check(well, j, k), abs=1e-8)
+                assert val == pytest.approx(mu_jk2(well, j, k), abs=1e-8)
         assert t2.projected_eigenvalue(0, 0) == pytest.approx(2.0, abs=1e-8)
 
     def test_curved_projection_includes_curvature_term(self):

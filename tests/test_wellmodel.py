@@ -51,6 +51,10 @@ class TestMuJk2:
     def test_first_landau_level(self):
         assert mu_jk2(unit_well(), 0, 1) == pytest.approx(8.0, abs=1e-14)
 
+    def test_reference_values(self):
+        assert mu_jk2(unit_well(), 1, 0) == pytest.approx(4.0, abs=1e-13)
+        assert mu_jk2(unit_well(alpha1=4.0), 0, 0) == pytest.approx(4.5, abs=1e-13)
+
     def test_curvature_term(self):
         assert mu_jk2(unit_well(R0=1.0), 0, 1) == pytest.approx(9.0, abs=1e-14)
         # curvature does not touch k = 0
